@@ -15,9 +15,11 @@
 // every selected experiment id present in the baseline, benchdiff gates
 // two independent properties:
 //
-//   - Machine-independent counters: trials, interactions, delta_calls
-//     and epochs are deterministic functions of the experiment's seeds
-//     — they must match the baseline exactly on any machine, so any
+//   - Machine-independent counters: trials, interactions, delta_calls,
+//     epochs, the batch planner's safety-net counters (violations,
+//     half_reuses, half_discards) and the sharded planner's counters
+//     are deterministic functions of the experiment's seeds — they
+//     must match the baseline exactly on any machine, so any
 //     difference is real dynamics drift (a changed rule, a changed
 //     sampler, a lost fast path), never runner noise. Disable with
 //     -counters=false when diffing across intentionally different
@@ -72,6 +74,9 @@ type metrics struct {
 	InteractionsPerSec float64 `json:"interactions_per_sec"`
 	DeltaCalls         int64   `json:"delta_calls,omitempty"`
 	Epochs             int64   `json:"epochs,omitempty"`
+	Violations         int64   `json:"violations,omitempty"`
+	HalfReuses         int64   `json:"half_reuses,omitempty"`
+	HalfDiscards       int64   `json:"half_discards,omitempty"`
 	ShardEpochs        int64   `json:"shard_epochs,omitempty"`
 	ShardBlocks        int64   `json:"shard_blocks,omitempty"`
 	MergeConflicts     int64   `json:"merge_conflicts,omitempty"`
@@ -90,6 +95,9 @@ var counterChecks = []struct {
 	{"interactions", func(m metrics) int64 { return m.Interactions }},
 	{"delta_calls", func(m metrics) int64 { return m.DeltaCalls }},
 	{"epochs", func(m metrics) int64 { return m.Epochs }},
+	{"violations", func(m metrics) int64 { return m.Violations }},
+	{"half_reuses", func(m metrics) int64 { return m.HalfReuses }},
+	{"half_discards", func(m metrics) int64 { return m.HalfDiscards }},
 	{"shard_epochs", func(m metrics) int64 { return m.ShardEpochs }},
 	{"shard_blocks", func(m metrics) int64 { return m.ShardBlocks }},
 	{"merge_conflicts", func(m metrics) int64 { return m.MergeConflicts }},
@@ -161,7 +169,7 @@ func run(args []string, w *os.File) error {
 		curPath   = fs.String("current", "", "current metrics to gate; comma-separated popbench -json files gate on each experiment's best run")
 		ids       = fs.String("ids", "", "comma-separated experiment ids to gate; empty = every id in the baseline")
 		threshold = fs.Float64("threshold", 0.25, "maximum tolerated relative drop in interactions_per_sec")
-		counters  = fs.Bool("counters", true, "gate the machine-independent counters (trials, interactions, delta_calls, epochs) for exact equality")
+		counters  = fs.Bool("counters", true, "gate the machine-independent counters (trials, interactions, delta_calls, epochs, safety-net and shard counters) for exact equality")
 		minWall   = fs.Float64("min-wall", 0.05, "baseline wall_seconds below which the throughput ratio is skipped (sub-noise-floor experiments carry no wall-clock signal; their counters are still gated exactly)")
 		update    = fs.Bool("update", false, "rewrite the baseline from -current (best run per experiment) instead of comparing")
 		speedup   = fs.Float64("speedup", 0, "multicore gate: require current interactions_per_sec >= this multiple of the baseline's (e.g. 2.0) and full counter equality with no zero-skip; 0 = regression mode")

@@ -184,6 +184,35 @@ func TestGateCountersExact(t *testing.T) {
 	}
 }
 
+// TestGateSafetyNetCounters pins the batch planner's safety-net
+// counters: violations, half_reuses and half_discards are gated exactly
+// like the other machine-independent counters.
+func TestGateSafetyNetCounters(t *testing.T) {
+	dir := t.TempDir()
+	safety := func(violations, reuses, discards int64) metrics {
+		mm := m("E8", 1e8)
+		mm.Epochs = 800
+		mm.Violations, mm.HalfReuses, mm.HalfDiscards = violations, reuses, discards
+		return mm
+	}
+	base := writeMetrics(t, dir, "base.json", []metrics{safety(40, 3, 25)})
+	same := writeMetrics(t, dir, "same.json", []metrics{safety(40, 3, 25)})
+	if err := run([]string{"-baseline", base, "-current", same}, os.Stdout); err != nil {
+		t.Fatalf("gate failed on matching safety-net counters: %v", err)
+	}
+	for name, cur := range map[string]metrics{
+		"violations":    safety(41, 3, 25),
+		"half_reuses":   safety(40, 2, 25),
+		"half_discards": safety(40, 3, 26),
+	} {
+		path := writeMetrics(t, dir, name+".json", []metrics{cur})
+		err := run([]string{"-baseline", base, "-current", path}, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("drifted %s: got %v, want a failure naming it", name, err)
+		}
+	}
+}
+
 // TestGateMinWallFloor pins the noise floor: an experiment whose
 // baseline run is shorter than -min-wall carries no wall-clock signal,
 // so its throughput ratio is not gated — but its machine-independent

@@ -78,11 +78,10 @@ func runnerFor(id string) (func(exp.Options) exp.Table, bool) {
 }
 
 // experimentMetrics is the machine-readable per-experiment record
-// emitted by -json. Trials, Converged, Interactions, DeltaCalls and
-// Epochs are deterministic functions of the experiment's seeds —
-// cmd/benchdiff gates on them exactly, independent of the runner's
-// machine class; only WallSeconds and InteractionsPerSec vary with the
-// machine.
+// emitted by -json. Every counter is a deterministic function of the
+// experiment's seeds — cmd/benchdiff gates on them exactly, independent
+// of the runner's machine class; only WallSeconds and
+// InteractionsPerSec vary with the machine.
 type experimentMetrics struct {
 	ID                 string  `json:"id"`
 	Title              string  `json:"title"`
@@ -94,6 +93,9 @@ type experimentMetrics struct {
 	InteractionsPerSec float64 `json:"interactions_per_sec"`
 	DeltaCalls         int64   `json:"delta_calls,omitempty"`
 	Epochs             int64   `json:"epochs,omitempty"`
+	Violations         int64   `json:"violations,omitempty"`
+	HalfReuses         int64   `json:"half_reuses,omitempty"`
+	HalfDiscards       int64   `json:"half_discards,omitempty"`
 	ShardEpochs        int64   `json:"shard_epochs,omitempty"`
 	ShardBlocks        int64   `json:"shard_blocks,omitempty"`
 	MergeConflicts     int64   `json:"merge_conflicts,omitempty"`
@@ -215,6 +217,9 @@ func run(args []string) error {
 			Interactions:   c.Interactions,
 			DeltaCalls:     c.DeltaCalls,
 			Epochs:         c.Epochs,
+			Violations:     c.Violations,
+			HalfReuses:     c.HalfReuses,
+			HalfDiscards:   c.HalfDiscards,
 			ShardEpochs:    c.ShardEpochs,
 			ShardBlocks:    c.ShardBlocks,
 			MergeConflicts: c.MergeConflicts,

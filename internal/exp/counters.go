@@ -10,16 +10,19 @@ import (
 // tallied here, so cmd/popbench can report machine-readable
 // per-experiment metrics (trials, convergence rate, interactions,
 // interactions/sec) without each experiment carrying its own plumbing.
-// Trials, Converged, Interactions, DeltaCalls and Epochs are
-// deterministic functions of the experiment's seeds — machine class
-// never changes them — which is what cmd/benchdiff's counter gate
-// relies on. The counters are atomic — trials run concurrently.
+// Every counter is a deterministic function of the experiment's seeds
+// — machine class never changes them — which is what cmd/benchdiff's
+// counter gate relies on. The counters are atomic — trials run
+// concurrently.
 var (
 	ctrTrials         atomic.Int64
 	ctrConverged      atomic.Int64
 	ctrInteractions   atomic.Int64
 	ctrDeltaCalls     atomic.Int64
 	ctrEpochs         atomic.Int64
+	ctrViolations     atomic.Int64
+	ctrHalfReuses     atomic.Int64
+	ctrHalfDiscards   atomic.Int64
 	ctrShardEpochs    atomic.Int64
 	ctrShardBlocks    atomic.Int64
 	ctrMergeConflicts atomic.Int64
@@ -40,6 +43,13 @@ type Counters struct {
 	DeltaCalls int64
 	// Epochs is the total number of applied batch epochs.
 	Epochs int64
+	// Violations, HalfReuses and HalfDiscards are the batch planner's
+	// safety-net counters (sim.EngineStats), summed over runs: drift
+	// bound trips, and the second half-epochs reused or discarded after
+	// a split.
+	Violations   int64
+	HalfReuses   int64
+	HalfDiscards int64
 	// ShardEpochs, ShardBlocks, MergeConflicts and StealEvents are the
 	// sharded planner's counters (sim.Config.Shards ≥ 2), summed over
 	// runs. Like the counters above they are deterministic in the seeds
@@ -59,6 +69,9 @@ func ResetCounters() {
 	ctrInteractions.Store(0)
 	ctrDeltaCalls.Store(0)
 	ctrEpochs.Store(0)
+	ctrViolations.Store(0)
+	ctrHalfReuses.Store(0)
+	ctrHalfDiscards.Store(0)
 	ctrShardEpochs.Store(0)
 	ctrShardBlocks.Store(0)
 	ctrMergeConflicts.Store(0)
@@ -74,6 +87,9 @@ func CounterSnapshot() Counters {
 		Interactions:   ctrInteractions.Load(),
 		DeltaCalls:     ctrDeltaCalls.Load(),
 		Epochs:         ctrEpochs.Load(),
+		Violations:     ctrViolations.Load(),
+		HalfReuses:     ctrHalfReuses.Load(),
+		HalfDiscards:   ctrHalfDiscards.Load(),
 		ShardEpochs:    ctrShardEpochs.Load(),
 		ShardBlocks:    ctrShardBlocks.Load(),
 		MergeConflicts: ctrMergeConflicts.Load(),
@@ -93,6 +109,9 @@ func countTrials(trials, converged, interactions int64) {
 func countEngineStats(s sim.EngineStats) {
 	ctrDeltaCalls.Add(s.DeltaCalls)
 	ctrEpochs.Add(s.Epochs)
+	ctrViolations.Add(s.Violations)
+	ctrHalfReuses.Add(s.HalfReuses)
+	ctrHalfDiscards.Add(s.HalfDiscards)
 	ctrShardEpochs.Add(s.ShardEpochs)
 	ctrShardBlocks.Add(s.ShardBlocks)
 	ctrMergeConflicts.Add(s.MergeConflicts)

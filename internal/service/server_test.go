@@ -11,7 +11,10 @@ import (
 	"time"
 )
 
-// testServer spins up a service instance over httptest.
+// testServer spins up a service instance over httptest. Cleanups run
+// last-registered first, so the worker pool drains before the state
+// directory is removed: a worker persisting a job record after the test
+// has seen the job finish cannot race the removal.
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Dir == "" {
@@ -21,6 +24,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(srv.Shutdown)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return srv, hs

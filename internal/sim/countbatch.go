@@ -42,6 +42,21 @@
 // engine stepped only below the threshold stays bit-for-bit equal to a
 // sequential one.
 //
+// The transition matrix is a map keyed by ordered dense pair (det),
+// and det stays authoritative: every pair classification, and with it
+// every state discovery, happens on a det miss. In front of it sits an
+// occupied-slot matrix, because an epoch walks every occupied ordered
+// pair (pre-leap sizing) and then every sampled pair type (resolution)
+// and hashing each pair there costs more than the sampling. Each
+// occupied state holds a slot, and a dense stride×stride array caches
+// det's entries between slot owners, so those walks read array rows.
+// Zero crossings only mark the slots dirty; they are resynced at the
+// top of the next planning pass, after the occupied² gate, so the
+// per-interaction churn of exact stepping never touches the matrix. A
+// resync releases the slots of vacated states and clears a reused
+// slot's row and column. The matrix is capped at slotCap slots;
+// occupied states beyond the cap are served by det alone.
+//
 // The result is o(1) amortized cost per interaction where the
 // configuration mixes slowly enough to batch: one epoch costs
 // O(occupied² + sampled pair types) regardless of τ, so the
@@ -90,10 +105,15 @@ type pairCount struct {
 
 // pair-classification kinds cached per ordered dense state pair.
 const (
-	pairRandomized = iota // resolve with one Delta call per interaction
+	pairUnknown    = iota // slot-matrix cell not yet filled from det
+	pairRandomized        // resolve with one Delta call per interaction
 	pairDet               // deterministic: bulk-apply the cached net moves
 	pairNoop              // identity on the configuration: no deltas
 )
+
+// slotCap bounds the occupied-slot matrix at slotCap² cells (1.75 MiB of
+// detEntry); occupied states beyond it are served by det alone.
+const slotCap = 256
 
 // detEntry is the cached transition-matrix entry of one ordered dense
 // pair: its kind and, for deterministic pairs, the netted count moves
@@ -113,6 +133,8 @@ type batchPlanner struct {
 
 	dd  DeterministicDelta  // nil: every pair is resolved via Delta
 	det map[uint64]detEntry // ordered dense pair -> transition matrix
+
+	slots *slotMatrix // cache in front of det; nil until the first planning pass
 
 	cool    int64 // remaining exact-stepping backoff
 	coolLen int64 // next backoff length (doubles on repeat failures)
@@ -298,12 +320,14 @@ func (e *CountEngine) stepExact(count int64) {
 // max(1, drift·count). frozen reports that no occupied pair can change
 // the configuration at all — the chain is absorbed.
 func (e *CountEngine) planTau() (tau int64, frozen bool) {
+	sm := e.syncSlots()
 	bp := e.bp
 	c := e.c
 	totalW := float64(e.n) * float64(e.n-1)
-	for _, i := range e.occ {
+	for pi, i := range e.occ {
 		ci := c.counts[i]
-		for _, j := range e.occ {
+		row := sm.row(sm.occSlot[pi])
+		for pj, j := range e.occ {
 			w := c.counts[j]
 			if j == i {
 				w = ci - 1
@@ -311,7 +335,13 @@ func (e *CountEngine) planTau() (tau int64, frozen bool) {
 			if w == 0 {
 				continue
 			}
-			ent := e.pairEntry(i, j)
+			var ent detEntry
+			if sj := sm.occSlot[pj]; row != nil && sj >= 0 {
+				ent = row[sj]
+			}
+			if ent.kind == pairUnknown {
+				ent = e.pairEntry(i, j)
+			}
 			if ent.kind == pairNoop {
 				continue
 			}
@@ -352,8 +382,26 @@ func (e *CountEngine) planTau() (tau int64, frozen bool) {
 }
 
 // pairEntry returns the cached transition-matrix entry for one ordered
-// dense pair, deriving it on first sight.
+// dense pair: the slot-matrix cell when both states hold slots and the
+// cell is filled, else det's entry — derived on first sight — which then
+// fills the cell. It runs only inside an epoch, after that epoch's
+// syncSlots.
 func (e *CountEngine) pairEntry(i, j int) detEntry {
+	sm := e.bp.slots
+	si, sj := sm.slot(i), sm.slot(j)
+	if si < 0 || sj < 0 {
+		return e.detPair(i, j)
+	}
+	cell := &sm.mat[si*sm.stride+sj]
+	if cell.kind == pairUnknown {
+		*cell = e.detPair(i, j)
+	}
+	return *cell
+}
+
+// detPair returns det's entry for one ordered dense pair, deriving it
+// on first sight.
+func (e *CountEngine) detPair(i, j int) detEntry {
 	key := uint64(uint32(i))<<32 | uint64(uint32(j))
 	ent, ok := e.bp.det[key]
 	if !ok {
@@ -361,6 +409,114 @@ func (e *CountEngine) pairEntry(i, j int) detEntry {
 		e.bp.det[key] = ent
 	}
 	return ent
+}
+
+// slotMatrix is the occupied-slot cache in front of a planner's det:
+// an occupied state holds a slot, and mat[si·stride+sj] caches det's
+// entry for the ordered pair of the two slots' owners (pairUnknown
+// until filled). It is synced lazily at the top of each planning pass —
+// dirty records a zero crossing since the last sync — so it never sees
+// the per-interaction churn of the exact path.
+type slotMatrix struct {
+	mat     []detEntry
+	stride  int     // row length: a power of two ≤ slotCap
+	owner   []int32 // slot -> owning dense index (-1: released)
+	free    []int32 // released slots, reused last-in first-out
+	slotOf  []int32 // dense index -> slot+1 (0: no slot)
+	occSlot []int32 // occ position -> slot (-1: none) as of the last sync
+	dirty   bool
+}
+
+// slot returns dense state i's slot, or -1 when it holds none.
+func (sm *slotMatrix) slot(i int) int {
+	if i < len(sm.slotOf) {
+		return int(sm.slotOf[i]) - 1
+	}
+	return -1
+}
+
+// row returns slot s's matrix row, nil for s < 0.
+func (sm *slotMatrix) row(s int32) []detEntry {
+	if s < 0 {
+		return nil
+	}
+	lo := int(s) * sm.stride
+	return sm.mat[lo : lo+sm.stride : lo+sm.stride]
+}
+
+// syncSlots returns the planner's slot matrix, first bringing it in step
+// with the occupied list after zero crossings: vacated states release
+// their slots, newly occupied states take free ones in ascending dense
+// order, and occSlot is rebuilt for the current list.
+func (e *CountEngine) syncSlots() *slotMatrix {
+	sm := e.bp.slots
+	if sm == nil {
+		sm = &slotMatrix{dirty: true}
+		e.bp.slots = sm
+	}
+	if !sm.dirty {
+		return sm
+	}
+	sm.dirty = false
+	counts := e.c.counts
+	for s, o := range sm.owner {
+		if o >= 0 && counts[o] == 0 {
+			sm.slotOf[o] = 0
+			sm.owner[s] = -1
+			sm.free = append(sm.free, int32(s))
+		}
+	}
+	for len(sm.slotOf) < len(counts) {
+		sm.slotOf = append(sm.slotOf, 0)
+	}
+	sm.occSlot = sm.occSlot[:0]
+	for _, i := range e.occ {
+		s := sm.slotOf[i] - 1
+		if s < 0 {
+			s = sm.take(i)
+		}
+		sm.occSlot = append(sm.occSlot, s)
+	}
+	return sm
+}
+
+// take gives dense state i a slot and returns it, or -1 when all
+// slotCap slots are held. A released slot is reused with its stale row
+// and column cleared to pairUnknown; otherwise the next fresh slot is
+// taken, doubling the matrix when it is full.
+func (sm *slotMatrix) take(i int) int32 {
+	var s int
+	if k := len(sm.free); k > 0 {
+		s = int(sm.free[k-1])
+		sm.free = sm.free[:k-1]
+		clear(sm.row(int32(s)))
+		for x := s; x < len(sm.mat); x += sm.stride {
+			sm.mat[x] = detEntry{}
+		}
+	} else {
+		s = len(sm.owner)
+		if s == slotCap {
+			return -1
+		}
+		if s == sm.stride {
+			sm.grow()
+		}
+		sm.owner = append(sm.owner, 0)
+	}
+	sm.owner[s] = int32(i)
+	sm.slotOf[i] = int32(s) + 1
+	return int32(s)
+}
+
+// grow doubles the matrix stride (the first matrix holds 16 slots),
+// copying the filled rows to the new layout.
+func (sm *slotMatrix) grow() {
+	stride := min(slotCap, max(16, 2*sm.stride))
+	mat := make([]detEntry, stride*stride)
+	for r := 0; r < sm.stride; r++ {
+		copy(mat[r*stride:], sm.row(int32(r)))
+	}
+	sm.mat, sm.stride = mat, stride
 }
 
 // classifyPair derives the transition-matrix entry for one ordered

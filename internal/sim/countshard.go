@@ -9,7 +9,8 @@
 // pair-row blocks of the sorted occupied-index list and runs the blocks
 // concurrently, following the speculative-parallel-work / serial-
 // confirm split of core-chain's trie prefetcher: the parallel phases
-// only read engine state that is frozen for the epoch, anything that
+// only read engine state that is frozen for the epoch (the flow pass
+// also fills its own block's slot-matrix rows), anything that
 // must mutate shared structures (transition-matrix classification,
 // state discovery, the interner, the commit itself) is deferred to a
 // serial confirm step that folds shard results in ascending block
@@ -20,24 +21,28 @@
 //
 // Epoch anatomy:
 //
-//  1. Flow pass (parallel): each block accumulates the pre-leap
+//  1. Flow pass (parallel): after a serial resync of the occupied-slot
+//     matrix (countbatch.go), each block accumulates the pre-leap
 //     expected-change rates of its initiator rows into block-local
-//     scratch, reading the shared transition-matrix cache without
-//     writing — pairs not yet classified are parked on a block-local
-//     miss list.
+//     scratch. Entries come from the block's own matrix rows; an
+//     unfilled cell is read from det without writing det and copied
+//     into the row (blocks own disjoint rows), and a pair det has not
+//     classified is parked on a block-local miss list.
 //  2. Classify + τ (serial): misses are classified in ascending block
-//     order (the only det-cache writes and state discoveries of the
-//     epoch), block flows merge in block order, and τ is sized exactly
-//     like the serial planner.
+//     order (the only det writes and state discoveries of the epoch;
+//     each also fills its matrix cell), block flows merge in block
+//     order, and τ is sized exactly like the serial planner.
 //  3. Row totals (serial): the initiator-row binomial chain draws each
 //     row's share of the τ interactions from the engine stream.
 //  4. Resolve pass (parallel): blocks are re-partitioned by sampled
 //     row weight, and each block — on a private stream derived from
 //     (seed, epoch counter, block index) — decomposes its rows over
-//     responders, bulk-applies deterministic pairs into block-local
-//     deltas, and resolves randomized pairs with per-interaction Delta
-//     calls through the spec's shard closures (fresh product states
-//     land in shard-provisional interner namespaces, see intern.go).
+//     responders, reads each pair's entry from its matrix row (or det
+//     past the slot cap), bulk-applies deterministic pairs into
+//     block-local deltas, and resolves randomized pairs with
+//     per-interaction Delta calls through the spec's shard closures
+//     (fresh product states land in shard-provisional interner
+//     namespaces, see intern.go).
 //  5. Merge + commit (serial): provisional states reconcile into the
 //     canonical namespace, block deltas fold in ascending block order,
 //     and the epoch commits under the same safety bound as the serial
@@ -113,8 +118,8 @@ type shardBlock struct {
 	r      *rng.Rand // per-epoch private stream (reseeded at block start)
 
 	// Flow-pass scratch: per dense state expected change rate, plus the
-	// pairs whose transition-matrix entry was absent from the shared
-	// cache (classified serially after the pass).
+	// pairs det has not classified yet (classified serially after the
+	// pass).
 	flow   []float64
 	fseen  []bool
 	ftouch []int
@@ -440,20 +445,22 @@ func (sr *shardRunner) splitWeighted(rows int, tau int64) int {
 }
 
 // flowPass accumulates the block's pair-row rates into block-local
-// scratch, reading the shared transition-matrix cache without writing:
-// unclassified pairs are parked on the miss list for the serial
-// classify step. Per-row randomized rate mass lands in randRow (block
-// position ranges are disjoint, so the shared slice has no write
-// overlap).
+// scratch. Entries come from the block's own slot-matrix rows; a cell
+// not yet filled is read from det without writing it and copied into
+// the row, and a pair det has not classified is parked on the miss list
+// for the serial classify step. Block position ranges are disjoint and
+// no two occupied states share a slot, so neither the matrix rows nor
+// the per-row randomized rate mass in randRow has write overlap.
 func (blk *shardBlock) flowPass(e *CountEngine, randRow []float64) {
-	det := e.bp.det
+	sm, det := e.bp.slots, e.bp.det
 	c := e.c
 	totalW := float64(e.n) * float64(e.n-1)
 	for pos := blk.lo; pos < blk.hi; pos++ {
 		i := e.occ[pos]
 		ci := c.counts[i]
+		row := sm.row(sm.occSlot[pos])
 		rr := 0.0
-		for _, j := range e.occ {
+		for pj, j := range e.occ {
 			w := c.counts[j]
 			if j == i {
 				w = ci - 1
@@ -461,10 +468,21 @@ func (blk *shardBlock) flowPass(e *CountEngine, randRow []float64) {
 			if w == 0 {
 				continue
 			}
-			ent, ok := det[uint64(uint32(i))<<32|uint64(uint32(j))]
-			if !ok {
-				blk.misses = append(blk.misses, uint64(uint32(pos))<<32|uint64(uint32(j)))
-				continue
+			sj := sm.occSlot[pj]
+			var ent detEntry
+			if row != nil && sj >= 0 {
+				ent = row[sj]
+			}
+			if ent.kind == pairUnknown {
+				var ok bool
+				ent, ok = det[uint64(uint32(i))<<32|uint64(uint32(j))]
+				if !ok {
+					blk.misses = append(blk.misses, uint64(uint32(pos))<<32|uint64(uint32(j)))
+					continue
+				}
+				if row != nil && sj >= 0 {
+					row[sj] = ent
+				}
 			}
 			if ent.kind == pairNoop {
 				continue
@@ -488,12 +506,13 @@ func (blk *shardBlock) flowPass(e *CountEngine, randRow []float64) {
 	}
 }
 
-// planTauSharded is the sharded planner's pre-leap sizing: the flow
-// pass fans out over even row blocks, then a serial step classifies the
-// det-cache misses (the epoch's only shared-state writes), merges block
-// flows in ascending block order, and sizes τ exactly like the serial
-// planTau.
+// planTauSharded is the sharded planner's pre-leap sizing: the slot
+// matrix is synced, the flow pass fans out over even row blocks, then a
+// serial step classifies the det misses (the epoch's only det writes),
+// merges block flows in ascending block order, and sizes τ exactly like
+// the serial planTau.
 func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
+	e.syncSlots()
 	sr, bp, c := e.sr, e.bp, e.c
 	rows := len(e.occ)
 	if cap(sr.randRow) < rows {
@@ -505,8 +524,8 @@ func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
 	sr.runBlocks(nb, fanned, func(b int) { sr.blocks[b].flowPass(e, sr.randRow) })
 
 	// Serial confirm: merge block flows in block order, then classify
-	// the misses — the only det-cache writes and state discoveries of
-	// the epoch, in ascending (row, responder) order.
+	// the misses — the only det writes and state discoveries of the
+	// epoch, in ascending (row, responder) order.
 	for _, blk := range sr.blocks[:nb] {
 		for _, idx := range blk.ftouch {
 			bp.addFlow(idx, blk.flow[idx])
@@ -583,7 +602,7 @@ func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
 // sample.
 func (blk *shardBlock) resolve(e *CountEngine, rowTau []int64, delta func(qu, qv uint64, r *rng.Rand) (uint64, uint64)) {
 	c := e.c
-	det := e.bp.det
+	sm, det := e.bp.slots, e.bp.det
 	blk.violated = false
 	blk.deltaCalls = 0
 	sinceCheck := int64(0)
@@ -593,8 +612,9 @@ func (blk *shardBlock) resolve(e *CountEngine, rowTau []int64, delta func(qu, qv
 		if ri == 0 {
 			continue
 		}
+		row := sm.row(sm.occSlot[pos])
 		respRem, respW := ri, e.n-1
-		for _, j := range e.occ {
+		for pj, j := range e.occ {
 			if respRem <= 0 {
 				break
 			}
@@ -618,10 +638,16 @@ func (blk *shardBlock) resolve(e *CountEngine, rowTau []int64, delta func(qu, qv
 			if blk.violated {
 				continue
 			}
-			// The flow pass classified every occupied pair this epoch, so
-			// the cache read cannot miss; a zero entry would only fall
-			// through to the (always-correct) randomized path.
-			ent := det[uint64(uint32(i))<<32|uint64(uint32(j))]
+			// The flow pass classified every occupied pair this epoch and
+			// filled its matrix cell, so neither read can miss; a zero
+			// entry would only fall through to the (always-correct)
+			// randomized path.
+			var ent detEntry
+			if sj := sm.occSlot[pj]; row != nil && sj >= 0 {
+				ent = row[sj]
+			} else {
+				ent = det[uint64(uint32(i))<<32|uint64(uint32(j))]
+			}
 			switch ent.kind {
 			case pairNoop:
 			case pairDet:

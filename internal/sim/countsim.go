@@ -787,7 +787,9 @@ func (e *CountEngine) shift(idx int, d int64) {
 // occShift applies the count change and keeps the sorted occupied list
 // in step with zero crossings. Occupied alphabets are small (the moving
 // front of a synchronized protocol), so the O(occupied) splice on a
-// crossing is cheaper than any tree would be.
+// crossing is cheaper than any tree would be. A crossing only marks the
+// batch planner's slot matrix dirty; the planner resyncs it when it
+// next plans.
 func (e *CountEngine) occShift(idx int, d int64) {
 	c := e.c
 	was := c.counts[idx]
@@ -804,6 +806,11 @@ func (e *CountEngine) occShift(idx int, d int64) {
 	case was > 0 && c.counts[idx] == 0:
 		i := sort.SearchInts(e.occ, idx)
 		e.occ = append(e.occ[:i], e.occ[i+1:]...)
+	default:
+		return
+	}
+	if e.bp != nil && e.bp.slots != nil {
+		e.bp.slots.dirty = true
 	}
 }
 

@@ -132,10 +132,11 @@ func FuzzCountConservation(f *testing.F) {
 
 // FuzzCountBatchEquivalence fuzzes the multinomial batch-stepping mode:
 // arbitrary interleavings of batch sizes must conserve Σ counts == n
-// with non-negative counts and an exact interaction counter, and — the
-// exact-fallback contract — a batch-mode engine stepped only below the
-// batching threshold must stay bit-for-bit equal to a seed-matched
-// sequential count engine.
+// with non-negative counts and an exact interaction counter, keep the
+// planner's occupied-slot matrix consistent with its transition-matrix
+// map, and — the exact-fallback contract — a batch-mode engine stepped
+// only below the batching threshold must stay bit-for-bit equal to a
+// seed-matched sequential count engine.
 func FuzzCountBatchEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(300), uint16(1000), uint8(0), []byte{0x5a})
 	f.Add(uint64(42), uint16(2), uint16(1), uint8(1), []byte{})
@@ -165,6 +166,9 @@ func FuzzCountBatchEquivalence(f *testing.F) {
 			}
 			e.Step(batch)
 			done += batch
+			if err := sim.CheckSlotMatrix(e); err != nil {
+				t.Fatalf("slot matrix after %d interactions: %v", done, err)
+			}
 			if got := e.Counts().Sum(); got != int64(n) {
 				t.Fatalf("Σ counts = %d after %d interactions, want %d", got, done, n)
 			}
@@ -216,8 +220,9 @@ func FuzzCountBatchEquivalence(f *testing.F) {
 // FuzzShardMergeEquivalence fuzzes the sharded batch planner
 // (sim.Config.Shards, countshard.go) across random protocols, shard
 // counts and batch interleavings. Three contracts: Σ counts == n with
-// non-negative counts and an exact interaction counter after every
-// batch at any shard count; Shards ≤ 1 is the compatibility stream,
+// non-negative counts, an exact interaction counter and a slot matrix
+// consistent with the transition-matrix map after every batch at any
+// shard count; Shards ≤ 1 is the compatibility stream,
 // bit-for-bit identical to the plain serial batched planner; and at a
 // fixed shard count ≥ 2 the run — configuration and every engine
 // counter — is identical on one core and many.
@@ -254,6 +259,9 @@ func FuzzShardMergeEquivalence(f *testing.F) {
 				}
 				e.Step(batch)
 				done += batch
+				if err := sim.CheckSlotMatrix(e); err != nil {
+					t.Fatalf("shards=%d: slot matrix after %d interactions: %v", shards, done, err)
+				}
 				if got := e.Counts().Sum(); got != int64(n) {
 					t.Fatalf("shards=%d: Σ counts = %d after %d interactions, want %d", shards, got, done, n)
 				}
