@@ -9,7 +9,8 @@ import "errors"
 // (bad requests become HTTP 400s, not 500s).
 var (
 	// ErrInvalidN marks a population size below 2 (or otherwise outside
-	// the chosen engine's range).
+	// the chosen engine's range), and likewise an out-of-range trial or
+	// shard count: negative, or more shards than sim.MaxShards.
 	ErrInvalidN = errors.New("popcount: invalid population size")
 
 	// ErrUnknownAlgorithm marks an algorithm value or name the library

@@ -82,6 +82,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(snap)
 	}
 	f.Add([]byte("PCSS"))
+	f.Add(oversizedShardSnapshot(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Latency tripwire: a decode (or the bounded 16-step resume) of

@@ -47,7 +47,7 @@ type JobRequest struct {
 	// Shards shards each batch epoch across that many deterministic
 	// work streams (popcount.WithIntraRunParallelism; count-batched
 	// engine only). Values ≤ 1 keep the serial planner and hash like an
-	// absent field.
+	// absent field; values above sim.MaxShards (256) are rejected.
 	Shards         int  `json:"shards,omitempty"`
 	FaultInjection bool `json:"fault_injection,omitempty"`
 	// Faults attaches a deterministic fault plan (popcount.WithFaults)

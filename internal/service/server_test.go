@@ -256,6 +256,28 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedShardsRejected pins admission of the shard count: a job
+// asking for more shards than sim.MaxShards is a 400, and nothing is
+// queued for it.
+func TestOversizedShardsRejected(t *testing.T) {
+	srv, hs := testServer(t, Config{})
+	body := `{"algorithm":"approximate","n":4096,"engine":"count-batched","shards":1000000000}`
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	srv.mu.Lock()
+	jobs := len(srv.jobs)
+	srv.mu.Unlock()
+	if jobs != 0 || len(srv.queue) != 0 {
+		t.Fatalf("%d jobs registered and %d queued after a rejected submit", jobs, len(srv.queue))
+	}
+}
+
 // TestCancelMidRun cancels a long-running job via DELETE and checks it
 // lands in cancelled with a terminal event.
 func TestCancelMidRun(t *testing.T) {

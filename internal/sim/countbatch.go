@@ -57,12 +57,30 @@
 // slot's row and column. The matrix is capped at slotCap slots;
 // occupied states beyond the cap are served by det alone.
 //
+// This file's serial planner and the sharded one of countshard.go run
+// one epoch loop (stepBatched) and share its parts: the sparseVec
+// scratch, the sizing walk flowRows with sizeTau, the bound withinBound,
+// the randomized-pair Delta loop resolveRandomized, and the rowShares
+// and responders binomial chains. Only their random streams differ. The
+// serial planner draws each row's share and then its responders on the
+// engine stream; the sharded one draws every row share first, then each
+// block's responders on the block's own stream, and it adds the flows of
+// det misses after all block flows. A one-block sharded planner would
+// therefore change every Shards ≤ 1 trajectory, which needs
+// distributional conformance evidence first.
+//
 // The result is o(1) amortized cost per interaction where the
 // configuration mixes slowly enough to batch: one epoch costs
 // O(occupied² + sampled pair types) regardless of τ, so the
 // Θ(n log n)-interaction skip-path protocols cost polylog(n) epochs end
 // to end.
 package sim
+
+import (
+	"iter"
+
+	"popcount/internal/rng"
+)
 
 // DeterministicDelta is the optional transition-matrix fast path of the
 // batch-stepping mode. DeltaDet reports the successor pair of δ(qu, qv)
@@ -140,13 +158,42 @@ type batchPlanner struct {
 	coolLen int64 // next backoff length (doubles on repeat failures)
 	bottom  bool  // the last epoch cascaded into the exact fallback
 
-	plan    []pairCount // scratch: current epoch's sampled pair types
-	delta   []int64     // scratch: per dense state net count change
-	seen    []bool      // scratch: delta[idx] has been touched
-	touched []int       // scratch: indices with seen set
-	flow    []float64   // scratch: per dense state expected change rate
-	fseen   []bool
-	ftouch  []int
+	plan  []pairCount        // scratch: current epoch's sampled pair types
+	delta sparseVec[int64]   // scratch: per dense state net count change
+	flow  sparseVec[float64] // scratch: per dense state expected change rate
+}
+
+// sparseVec is a dense-state accumulator that remembers which indices it
+// touched, so reset costs O(touched) rather than O(discovered states).
+// The planners keep one per epoch quantity: expected change rates while
+// sizing, net count deltas while resolving.
+type sparseVec[T int64 | float64] struct {
+	val     []T
+	seen    []bool // val[idx] has been touched
+	touched []int  // indices with seen set
+}
+
+// add accumulates d into dense state idx, growing the vector on first
+// sight of a freshly discovered state.
+func (v *sparseVec[T]) add(idx int, d T) {
+	for idx >= len(v.val) {
+		v.val = append(v.val, 0)
+		v.seen = append(v.seen, false)
+	}
+	if !v.seen[idx] {
+		v.seen[idx] = true
+		v.touched = append(v.touched, idx)
+	}
+	v.val[idx] += d
+}
+
+// reset clears every touched index.
+func (v *sparseVec[T]) reset() {
+	for _, idx := range v.touched {
+		v.val[idx] = 0
+		v.seen[idx] = false
+	}
+	v.touched = v.touched[:0]
 }
 
 // newBatchPlanner wires batch stepping for an engine over n agents.
@@ -179,55 +226,12 @@ func (bp *batchPlanner) backoff() {
 	}
 }
 
-// add accumulates a count delta for dense state idx, growing the
-// scratch on first sight of a freshly discovered state.
-func (bp *batchPlanner) add(idx int, d int64) {
-	for idx >= len(bp.delta) {
-		bp.delta = append(bp.delta, 0)
-		bp.seen = append(bp.seen, false)
-	}
-	if !bp.seen[idx] {
-		bp.seen[idx] = true
-		bp.touched = append(bp.touched, idx)
-	}
-	bp.delta[idx] += d
-}
-
-// reset clears the delta scratch.
-func (bp *batchPlanner) reset() {
-	for _, idx := range bp.touched {
-		bp.delta[idx] = 0
-		bp.seen[idx] = false
-	}
-	bp.touched = bp.touched[:0]
-}
-
-// addFlow accumulates an expected-change rate for dense state idx.
-func (bp *batchPlanner) addFlow(idx int, f float64) {
-	for idx >= len(bp.flow) {
-		bp.flow = append(bp.flow, 0)
-		bp.fseen = append(bp.fseen, false)
-	}
-	if !bp.fseen[idx] {
-		bp.fseen[idx] = true
-		bp.ftouch = append(bp.ftouch, idx)
-	}
-	bp.flow[idx] += f
-}
-
-// resetFlow clears the flow scratch.
-func (bp *batchPlanner) resetFlow() {
-	for _, idx := range bp.ftouch {
-		bp.flow[idx] = 0
-		bp.fseen[idx] = false
-	}
-	bp.ftouch = bp.ftouch[:0]
-}
-
 // stepBatched executes exactly count interactions in pre-leap-sized,
 // drift-bounded epochs, falling back to exact sequential stepping for
 // remainders too small to batch and for regimes where batching cannot
-// pay off.
+// pay off. Both planners run this loop: with a shard runner, epochs are
+// sized and applied by the sharded passes of countshard.go, while the
+// gates, backoff and exact fallbacks stay on the engine stream.
 func (e *CountEngine) stepBatched(count int64) {
 	bp := e.bp
 	if bp.maxTau < batchMinTau {
@@ -274,7 +278,13 @@ func (e *CountEngine) stepBatched(count int64) {
 			bp.backoff()
 			continue
 		}
-		tau, frozen := e.planTau()
+		var tau int64
+		var frozen bool
+		if e.sr != nil {
+			tau, frozen = e.planTauSharded()
+		} else {
+			tau, frozen = e.planTau()
+		}
 		if frozen {
 			e.t += rem
 			return
@@ -291,7 +301,11 @@ func (e *CountEngine) stepBatched(count int64) {
 			tau = rem
 		}
 		bp.bottom = false
-		rem -= e.applyPlan(e.planPairs(tau), tau)
+		if e.sr != nil {
+			rem -= e.applyEpochSharded(tau)
+		} else {
+			rem -= e.applyPlan(e.planPairs(tau), tau)
+		}
 		if bp.bottom {
 			bp.backoff()
 		} else {
@@ -312,21 +326,38 @@ func (e *CountEngine) stepExact(count int64) {
 }
 
 // planTau sizes the next epoch pre-leap: it accumulates every occupied
-// ordered pair's per-interaction rate λ = c[i]·(c[j]−[i=j])/(n·(n−1))
-// into the expected change rates of the states the pair's transition
-// touches (the cached net moves for deterministic pairs; the two source
-// states for randomized ones) and returns the largest τ that keeps
-// every state's expected net change within half its drift bound
-// max(1, drift·count). frozen reports that no occupied pair can change
-// the configuration at all — the chain is absorbed.
+// ordered pair's expected change rates (flowRows over all rows, with
+// det misses classified on the spot) and returns sizeTau's bound.
 func (e *CountEngine) planTau() (tau int64, frozen bool) {
-	sm := e.syncSlots()
-	bp := e.bp
+	e.syncSlots()
+	e.flowRows(0, len(e.occ), &e.bp.flow, nil, nil)
+	return e.sizeTau()
+}
+
+// flowRows is the pre-leap sizing walk over occupied rows [lo, hi): it
+// accumulates every ordered pair's per-interaction rate
+// λ = c[i]·(c[j]−[i=j])/(n·(n−1)) into flow at the states the pair's
+// transition touches — the cached net moves for deterministic pairs,
+// the two source states for randomized ones — and, when randRow is
+// non-nil, records each row's randomized rate mass in randRow[pos].
+// Entries come from the row's slot-matrix cells; an unfilled cell is
+// read from det and copied into the row. A pair det has not classified
+// is classified on the spot when misses is nil (the serial planner).
+// Otherwise it is parked on misses as (pos<<32 | j) for the serial
+// classify step and det is never written, so concurrent calls over
+// disjoint row ranges — which own disjoint matrix rows, as no two
+// occupied states share a slot — do not race. The per-pair update is
+// written out, not factored into a helper: this is the planners' hottest
+// loop and the compiler does not inline such a helper.
+func (e *CountEngine) flowRows(lo, hi int, flow *sparseVec[float64], randRow []float64, misses *[]uint64) {
+	sm, det := e.bp.slots, e.bp.det
 	c := e.c
 	totalW := float64(e.n) * float64(e.n-1)
-	for pi, i := range e.occ {
+	for pos := lo; pos < hi; pos++ {
+		i := e.occ[pos]
 		ci := c.counts[i]
-		row := sm.row(sm.occSlot[pi])
+		row := sm.row(sm.occSlot[pos])
+		rr := 0.0
 		for pj, j := range e.occ {
 			w := c.counts[j]
 			if j == i {
@@ -335,12 +366,25 @@ func (e *CountEngine) planTau() (tau int64, frozen bool) {
 			if w == 0 {
 				continue
 			}
+			sj := sm.occSlot[pj]
 			var ent detEntry
-			if sj := sm.occSlot[pj]; row != nil && sj >= 0 {
+			if row != nil && sj >= 0 {
 				ent = row[sj]
 			}
 			if ent.kind == pairUnknown {
-				ent = e.pairEntry(i, j)
+				key := uint64(uint32(i))<<32 | uint64(uint32(j))
+				var ok bool
+				if ent, ok = det[key]; !ok {
+					if misses != nil {
+						*misses = append(*misses, uint64(uint32(pos))<<32|uint64(uint32(j)))
+						continue
+					}
+					ent = e.classifyPair(i, j)
+					det[key] = ent
+				}
+				if row != nil && sj >= 0 {
+					row[sj] = ent
+				}
 			}
 			if ent.kind == pairNoop {
 				continue
@@ -352,24 +396,37 @@ func (e *CountEngine) planTau() (tau int64, frozen bool) {
 					if d < 0 {
 						d = -d
 					}
-					bp.addFlow(int(ent.idx[x]), lam*d)
+					flow.add(int(ent.idx[x]), lam*d)
 				}
 			} else {
-				bp.addFlow(i, lam)
-				bp.addFlow(j, lam)
+				flow.add(i, lam)
+				flow.add(j, lam)
+				rr += lam
 			}
 		}
+		if randRow != nil {
+			randRow[pos] = rr
+		}
 	}
-	if len(bp.ftouch) == 0 {
+}
+
+// sizeTau returns the largest τ that keeps every state's expected net
+// change, at the rates accumulated in the planner's flow, within half
+// its drift bound max(1, drift·count), and clears the flow. frozen
+// reports that no occupied pair can change the configuration at all —
+// the chain is absorbed.
+func (e *CountEngine) sizeTau() (tau int64, frozen bool) {
+	bp := e.bp
+	if len(bp.flow.touched) == 0 {
 		return 0, true
 	}
 	best := float64(bp.maxTau)
-	for _, idx := range bp.ftouch {
-		f := bp.flow[idx]
+	for _, idx := range bp.flow.touched {
+		f := bp.flow.val[idx]
 		if f <= 0 {
 			continue
 		}
-		target := bp.drift * float64(c.counts[idx]) / 2
+		target := bp.drift * float64(e.c.counts[idx]) / 2
 		if target < 0.5 {
 			target = 0.5
 		}
@@ -377,7 +434,7 @@ func (e *CountEngine) planTau() (tau int64, frozen bool) {
 			best = t
 		}
 	}
-	bp.resetFlow()
+	bp.flow.reset()
 	return int64(best), false
 }
 
@@ -570,32 +627,60 @@ func (e *CountEngine) classifyPair(i, j int) detEntry {
 // ordered (initiator-state, responder-state) pairs, assuming the
 // configuration frozen: rows by conditional binomials over the
 // initiator weights c[i], then responders within each row over the
-// weights c[j]−[i=j]. The sampled counts always sum to exactly tau.
+// weights c[j]−[i=j], all on the engine stream with each row's
+// responder draws following its row draw. The sampled counts always sum
+// to exactly tau.
 func (e *CountEngine) planPairs(tau int64) []pairCount {
-	bp := e.bp
-	plan := bp.plan[:0]
-	c := e.c
-	rowRem, rowW := tau, e.n
-	for _, i := range e.occ {
-		if rowRem <= 0 {
-			break
+	plan := e.bp.plan[:0]
+	for pos, ri := range e.rowShares(tau) {
+		i := e.occ[pos]
+		for pj, m := range e.responders(i, ri, e.r) {
+			plan = append(plan, pairCount{int32(i), int32(e.occ[pj]), m})
 		}
-		ci := c.counts[i]
-		ri := rowRem
-		if ci < rowW {
-			ri = e.r.Binomial(rowRem, float64(ci)/float64(rowW))
-		}
-		rowRem -= ri
-		rowW -= ci
-		if ri == 0 {
-			continue
-		}
-		respRem, respW := ri, e.n-1
-		for _, j := range e.occ {
-			if respRem <= 0 {
-				break
+	}
+	e.bp.plan = plan
+	return plan
+}
+
+// rowShares yields every occupied row's share of tau interactions by
+// occupied position, drawn as a chain of conditional binomials over the
+// initiator weights c[i] out of n on the engine stream. The shares sum
+// to exactly tau; rows after the chain runs out get 0 without a draw.
+func (e *CountEngine) rowShares(tau int64) iter.Seq2[int, int64] {
+	return func(yield func(int, int64) bool) {
+		rowRem, rowW := tau, e.n
+		for pos, i := range e.occ {
+			ci := e.c.counts[i]
+			ri := int64(0)
+			if rowRem > 0 {
+				ri = rowRem
+				if ci < rowW {
+					ri = e.r.Binomial(rowRem, float64(ci)/float64(rowW))
+				}
+				rowRem -= ri
 			}
-			w := c.counts[j]
+			rowW -= ci
+			if !yield(pos, ri) {
+				return
+			}
+		}
+	}
+}
+
+// responders yields the decomposition of initiator row i's ri
+// interactions over the occupied responders as (occupied position,
+// count) for every count > 0: a chain of conditional binomials over the
+// weights c[j]−[i=j] out of n−1, drawn from r. Each draw happens just
+// before its yield, so draws interleave with whatever the loop body
+// draws from r. The counts always sum to exactly ri.
+func (e *CountEngine) responders(i int, ri int64, r *rng.Rand) iter.Seq2[int, int64] {
+	return func(yield func(int, int64) bool) {
+		respRem, respW := ri, e.n-1
+		for pj, j := range e.occ {
+			if respRem <= 0 {
+				return
+			}
+			w := e.c.counts[j]
 			if j == i {
 				w--
 			}
@@ -604,17 +689,15 @@ func (e *CountEngine) planPairs(tau int64) []pairCount {
 			}
 			m := respRem
 			if w < respW {
-				m = e.r.Binomial(respRem, float64(w)/float64(respW))
+				m = r.Binomial(respRem, float64(w)/float64(respW))
 			}
 			respRem -= m
 			respW -= w
-			if m > 0 {
-				plan = append(plan, pairCount{int32(i), int32(j), m})
+			if m > 0 && !yield(pj, m) {
+				return
 			}
 		}
 	}
-	bp.plan = plan
-	return plan
 }
 
 // applyPlan resolves a sampled epoch plan into net count deltas and
@@ -646,7 +729,7 @@ func (e *CountEngine) applyPlan(plan []pairCount, tau int64) int64 {
 		return tau
 	}
 	e.stats.Violations++
-	e.bp.reset()
+	e.bp.delta.reset()
 	half := tau / 2
 	first, second := e.splitPlan(plan, half, tau)
 	done := e.applyPlan(first, half)
@@ -671,20 +754,20 @@ func (e *CountEngine) applyPlan(plan []pairCount, tau int64) int64 {
 	}
 	e.stats.Violations++
 	e.stats.HalfDiscards++
-	e.bp.reset()
+	e.bp.delta.reset()
 	return done
 }
 
 // commitDeltas applies the resolved per-state deltas in the planner
 // scratch to the configuration and counts the epoch.
 func (e *CountEngine) commitDeltas() {
-	bp := e.bp
-	for _, idx := range bp.touched {
-		if d := bp.delta[idx]; d != 0 {
+	delta := &e.bp.delta
+	for _, idx := range delta.touched {
+		if d := delta.val[idx]; d != 0 {
 			e.shift(idx, d)
 		}
 	}
-	bp.reset()
+	delta.reset()
 	e.stats.Epochs++
 }
 
@@ -722,7 +805,7 @@ func (e *CountEngine) splitPlan(plan []pairCount, half, tau int64) (first, secon
 // Randomized pairs call Delta per interaction, re-checking the bound
 // periodically so a doomed epoch aborts early.
 func (e *CountEngine) resolveDeltas(plan []pairCount) bool {
-	bp := e.bp
+	delta := &e.bp.delta
 	sinceCheck := int64(0)
 	for _, pc := range plan {
 		i, j := int(pc.i), int(pc.j)
@@ -732,56 +815,65 @@ func (e *CountEngine) resolveDeltas(plan []pairCount) bool {
 			continue
 		case pairDet:
 			for x := 0; x < int(ent.nm); x++ {
-				bp.add(int(ent.idx[x]), int64(ent.d[x])*pc.m)
+				delta.add(int(ent.idx[x]), int64(ent.d[x])*pc.m)
 			}
 		default:
-			qu, qv := e.c.codes[i], e.c.codes[j]
-			e.stats.DeltaCalls += pc.m
-			for x := int64(0); x < pc.m; x++ {
-				a, b := e.p.Delta(qu, qv, e.r)
-				ia, ib := e.lookup(a, i, j), e.lookup(b, i, j)
-				if ia != i || ib != j {
-					bp.add(i, -1)
-					bp.add(j, -1)
-					bp.add(ia, 1)
-					bp.add(ib, 1)
-				}
-			}
+			e.resolveRandomized(i, j, pc.m)
 		}
 		sinceCheck += pc.m
 		if sinceCheck >= driftCheckStride {
-			if !e.safetyOK() {
+			if !e.safetyOK(delta) {
 				return false
 			}
 			sinceCheck = 0
 		}
 	}
-	return e.safetyOK()
+	return e.safetyOK(delta)
 }
 
-// safetyOK reports whether the accumulated deltas keep every touched
-// state non-negative and inside the hard bound max(8, 2·drift·count) —
-// several times the pre-leap target, so with τ sized by planTau the
-// test almost never trips and the applied counts stay unbiased (see
-// the package comment on rejection censoring).
-func (e *CountEngine) safetyOK() bool {
-	bp := e.bp
-	for _, idx := range bp.touched {
-		d := bp.delta[idx]
-		if d == 0 {
-			continue
+// resolveRandomized resolves m interactions of the randomized pair
+// (i, j) with one Delta call each on the engine stream, accumulating
+// their net moves into the planner's deltas.
+func (e *CountEngine) resolveRandomized(i, j int, m int64) {
+	delta := &e.bp.delta
+	qu, qv := e.c.codes[i], e.c.codes[j]
+	e.stats.DeltaCalls += m
+	for x := int64(0); x < m; x++ {
+		a, b := e.p.Delta(qu, qv, e.r)
+		ia, ib := e.lookup(a, i, j), e.lookup(b, i, j)
+		if ia != i || ib != j {
+			delta.add(i, -1)
+			delta.add(j, -1)
+			delta.add(ia, 1)
+			delta.add(ib, 1)
 		}
-		cnt := e.c.counts[idx]
-		if cnt+d < 0 {
-			return false
-		}
-		lim := int64(2 * bp.drift * float64(cnt))
-		if lim < 8 {
-			lim = 8
-		}
-		if d > lim || d < -lim {
+	}
+}
+
+// safetyOK reports whether the deltas accumulated in v keep every
+// touched state within the planner's bound (withinBound). Resolution
+// checks it periodically and before every commit.
+func (e *CountEngine) safetyOK(v *sparseVec[int64]) bool {
+	for _, idx := range v.touched {
+		if d := v.val[idx]; d != 0 && !e.bp.withinBound(e.c.counts[idx], d) {
 			return false
 		}
 	}
 	return true
+}
+
+// withinBound reports whether a net change d keeps a state of count cnt
+// non-negative and inside the hard bound max(8, 2·drift·cnt) — several
+// times the pre-leap target, so with τ sized by sizeTau the test almost
+// never trips and the applied counts stay unbiased (see the package
+// comment on rejection censoring).
+func (bp *batchPlanner) withinBound(cnt, d int64) bool {
+	if cnt+d < 0 {
+		return false
+	}
+	lim := int64(2 * bp.drift * float64(cnt))
+	if lim < 8 {
+		lim = 8
+	}
+	return d <= lim && d >= -lim
 }

@@ -36,15 +36,33 @@ func (b *brute) find(x int64) int {
 }
 
 // TestSamplerAgainstBruteForce drives a random sequence of Append/Add
-// operations and checks every query against the reference.
+// operations and checks every query against the reference, on both
+// instantiations: Sampler at small totals and near 2⁶², Sampler32 at
+// small totals and near its 2³¹ bound, where its uint32 nodes wrap on
+// every negative delta.
 func TestSamplerAgainstBruteForce(t *testing.T) {
+	t.Run("Sampler", func(t *testing.T) { checkAgainstBruteForce(t, NewSampler(0), 0, 1, 1<<62) })
+	t.Run("Sampler/near2^62", func(t *testing.T) { checkAgainstBruteForce(t, NewSampler(0), 3<<60, 1<<44, 1<<62) })
+	t.Run("Sampler32", func(t *testing.T) { checkAgainstBruteForce(t, NewSampler32(0), 0, 1, 1<<31) })
+	t.Run("Sampler32/near2^31", func(t *testing.T) { checkAgainstBruteForce(t, NewSampler32(0), 3<<29, 1<<15, 1<<31) })
+}
+
+// checkAgainstBruteForce runs the random operation sequence on s. With
+// base > 0 the first slot holds base; every random weight and delta is
+// scaled by unit, and the run fails if the total ever exceeds limit
+// (the sampler's storage bound, which the sequence must respect).
+func checkAgainstBruteForce[W uint32 | int64](t *testing.T, s *fenwick[W], base, unit, limit int64) {
 	r := rng.New(42)
-	s := NewSampler(0)
 	var ref brute
+	if base > 0 {
+		s.Append(base)
+		ref.w = append(ref.w, base)
+	}
+	var peak int64
 	for op := 0; op < 5000; op++ {
 		switch {
 		case len(ref.w) == 0 || r.Intn(10) == 0:
-			w := int64(r.Intn(20))
+			w := int64(r.Intn(20)) * unit
 			i := s.Append(w)
 			ref.w = append(ref.w, w)
 			if i != len(ref.w)-1 {
@@ -52,15 +70,20 @@ func TestSamplerAgainstBruteForce(t *testing.T) {
 			}
 		default:
 			i := r.Intn(len(ref.w))
-			d := int64(r.Intn(7)) - ref.w[i]%3 // mixed signs, stays >= 0
+			d := (int64(r.Intn(7)) - ref.w[i]/unit%3) * unit // mixed signs, stays >= 0
 			if ref.w[i]+d < 0 {
 				d = -ref.w[i]
 			}
 			s.Add(i, d)
 			ref.w[i] += d
 		}
-		if s.Total() != ref.total() {
-			t.Fatalf("op %d: Total=%d want %d", op, s.Total(), ref.total())
+		tot := ref.total()
+		if tot > limit {
+			t.Fatalf("op %d: reference total %d exceeds the sampler bound %d", op, tot, limit)
+		}
+		peak = max(peak, tot)
+		if s.Total() != tot {
+			t.Fatalf("op %d: Total=%d want %d", op, s.Total(), tot)
 		}
 		if op%37 != 0 {
 			continue
@@ -73,7 +96,7 @@ func TestSamplerAgainstBruteForce(t *testing.T) {
 				t.Fatalf("op %d: Prefix(%d)=%d want %d", op, i, s.Prefix(i), ref.prefix(i))
 			}
 		}
-		if tot := ref.total(); tot > 0 {
+		if tot > 0 {
 			for probe := 0; probe < 20; probe++ {
 				x := r.Int64n(tot)
 				if got, want := s.Find(x), ref.find(x); got != want {
@@ -89,13 +112,18 @@ func TestSamplerAgainstBruteForce(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("peak total %d (bound %d)", peak, limit)
 }
 
-// TestSamplerFindSkipsEmptySlots pins the zero-weight boundary behavior:
-// a position on the boundary of an empty slot resolves to the next
-// occupied slot.
+// TestSamplerFindSkipsEmptySlots pins the zero-weight boundary behavior
+// on both instantiations: a position on the boundary of an empty slot
+// resolves to the next occupied slot.
 func TestSamplerFindSkipsEmptySlots(t *testing.T) {
-	s := NewSampler(4)
+	t.Run("Sampler", func(t *testing.T) { checkFindSkipsEmptySlots(t, NewSampler(4)) })
+	t.Run("Sampler32", func(t *testing.T) { checkFindSkipsEmptySlots(t, NewSampler32(4)) })
+}
+
+func checkFindSkipsEmptySlots[W uint32 | int64](t *testing.T, s *fenwick[W]) {
 	s.Append(5)
 	s.Append(0)
 	s.Append(3)

@@ -17,23 +17,23 @@
 // order. Results are therefore a deterministic function of (protocol,
 // seed, Shards) — never of GOMAXPROCS or goroutine scheduling — which
 // is what the multicore CI gate checks by requiring exactly equal
-// counters across differently-pinned runs.
+// counters across differently-pinned runs. The epoch loop, sizing walk,
+// bound, Delta loop and binomial chains are the serial planner's own
+// (countbatch.go names them); this file adds the block partition, the
+// worker pool and the serial confirm steps.
 //
 // Epoch anatomy:
 //
 //  1. Flow pass (parallel): after a serial resync of the occupied-slot
-//     matrix (countbatch.go), each block accumulates the pre-leap
-//     expected-change rates of its initiator rows into block-local
-//     scratch. Entries come from the block's own matrix rows; an
-//     unfilled cell is read from det without writing det and copied
-//     into the row (blocks own disjoint rows), and a pair det has not
-//     classified is parked on a block-local miss list.
-//  2. Classify + τ (serial): misses are classified in ascending block
-//     order (the only det writes and state discoveries of the epoch;
-//     each also fills its matrix cell), block flows merge in block
-//     order, and τ is sized exactly like the serial planner.
-//  3. Row totals (serial): the initiator-row binomial chain draws each
-//     row's share of the τ interactions from the engine stream.
+//     matrix (countbatch.go), each block runs flowRows over its
+//     initiator rows into block-local scratch, with det misses parked
+//     on a block-local list rather than classified.
+//  2. Classify + τ (serial): block flows merge in block order, misses
+//     are classified in ascending block order (the only det writes and
+//     state discoveries of the epoch; each also fills its matrix cell)
+//     and their flows added, and sizeTau sizes τ.
+//  3. Row totals (serial): rowShares draws each row's share of the τ
+//     interactions from the engine stream.
 //  4. Resolve pass (parallel): blocks are re-partitioned by sampled
 //     row weight, and each block — on a private stream derived from
 //     (seed, epoch counter, block index) — decomposes its rows over
@@ -42,14 +42,15 @@
 //     block-local deltas, and resolves randomized pairs with
 //     per-interaction Delta calls through the spec's shard closures
 //     (fresh product states land in shard-provisional interner
-//     namespaces, see intern.go).
+//     namespaces, see intern.go) or defers them to the merge.
 //  5. Merge + commit (serial): provisional states reconcile into the
 //     canonical namespace, block deltas fold in ascending block order,
-//     and the epoch commits under the same safety bound as the serial
-//     planner. A violation (a "merge conflict") discards the shard
-//     deltas and hands the full ordered plan to the serial split/
-//     retry machinery of applyPlan, which preserves the fidelity
-//     argument of countbatch.go unchanged.
+//     deferred randomized pairs resolve on the engine stream, and the
+//     epoch commits under the serial planner's safety bound. A
+//     violation (a "merge conflict") discards the shard deltas and
+//     hands the full ordered plan to the serial split/retry machinery
+//     of applyPlan, which preserves the fidelity argument of
+//     countbatch.go unchanged.
 //
 // Scheduling: blocks outnumber workers (up to shardBlocksPerWorker per
 // worker) and are claimed off a shared atomic counter, so a slow block
@@ -80,6 +81,12 @@ import (
 type ShardedDelta interface {
 	ShardDelta(k int) (deltas []func(qu, qv uint64, r *rng.Rand) (uint64, uint64), reconcile func() map[uint64]uint64)
 }
+
+// MaxShards caps Config.Shards. The runner allocates
+// shardBlocksPerWorker blocks per shard up front, each with its own
+// generator and scratch, so NewCountEngine rejects larger counts before
+// allocating anything.
+const MaxShards = 256
 
 const (
 	// shardBlocksPerWorker oversizes the block partition relative to the
@@ -120,9 +127,7 @@ type shardBlock struct {
 	// Flow-pass scratch: per dense state expected change rate, plus the
 	// pairs det has not classified yet (classified serially after the
 	// pass).
-	flow   []float64
-	fseen  []bool
-	ftouch []int
+	flow   sparseVec[float64]
 	misses []uint64 // packed (occ position)<<32 | responder dense index
 
 	// Resolve-pass scratch: per dense state net count deltas, the
@@ -130,9 +135,7 @@ type shardBlock struct {
 	// to the serial confirm step (protocols without shard closures), and
 	// deltas on codes the engine has not yet discovered (fresh canonical
 	// or shard-provisional codes).
-	delta      []int64
-	seen       []bool
-	touched    []int
+	delta      sparseVec[int64]
 	plan       []pairCount
 	randPairs  []pairCount
 	extraIdx   map[uint64]int
@@ -143,56 +146,21 @@ type shardBlock struct {
 	violated   bool
 }
 
-// addFlow accumulates an expected-change rate for dense state idx.
-func (blk *shardBlock) addFlow(idx int, f float64) {
-	for idx >= len(blk.flow) {
-		blk.flow = append(blk.flow, 0)
-		blk.fseen = append(blk.fseen, false)
-	}
-	if !blk.fseen[idx] {
-		blk.fseen[idx] = true
-		blk.ftouch = append(blk.ftouch, idx)
-	}
-	blk.flow[idx] += f
-}
-
-// resetFlow clears the flow scratch.
-func (blk *shardBlock) resetFlow() {
-	for _, idx := range blk.ftouch {
-		blk.flow[idx] = 0
-		blk.fseen[idx] = false
-	}
-	blk.ftouch = blk.ftouch[:0]
-}
-
-// add accumulates a count delta for dense state idx.
-func (blk *shardBlock) add(idx int, d int64) {
-	for idx >= len(blk.delta) {
-		blk.delta = append(blk.delta, 0)
-		blk.seen = append(blk.seen, false)
-	}
-	if !blk.seen[idx] {
-		blk.seen[idx] = true
-		blk.touched = append(blk.touched, idx)
-	}
-	blk.delta[idx] += d
-}
-
 // addCode accumulates a +1 delta for a successor code, against the two
 // source states first, then the engine's index, then the block-local
 // extras (codes the engine discovers only at the serial merge).
 func (blk *shardBlock) addCode(e *CountEngine, code uint64, i, j int) {
 	c := e.c
 	if code == c.codes[i] {
-		blk.add(i, 1)
+		blk.delta.add(i, 1)
 		return
 	}
 	if code == c.codes[j] {
-		blk.add(j, 1)
+		blk.delta.add(j, 1)
 		return
 	}
 	if idx, ok := c.index[code]; ok {
-		blk.add(idx, 1)
+		blk.delta.add(idx, 1)
 		return
 	}
 	if blk.extraIdx == nil {
@@ -214,8 +182,8 @@ func (blk *shardBlock) applyRand(e *CountEngine, i, j int, a, b uint64) {
 	if a == c.codes[i] && b == c.codes[j] {
 		return
 	}
-	blk.add(i, -1)
-	blk.add(j, -1)
+	blk.delta.add(i, -1)
+	blk.delta.add(j, -1)
 	blk.addCode(e, a, i, j)
 	blk.addCode(e, b, i, j)
 }
@@ -223,29 +191,13 @@ func (blk *shardBlock) applyRand(e *CountEngine, i, j int, a, b uint64) {
 // safetyOK applies the planner's drift bound to the block's own deltas
 // — a conservative early-abort (other blocks could offset a local
 // excess, which the merged check would accept); the authoritative test
-// runs on the merged deltas. Extra codes are fresh states (count 0), so
-// their bound is the constant floor.
+// runs on the merged deltas. Extra codes are fresh states (count 0).
 func (blk *shardBlock) safetyOK(e *CountEngine) bool {
-	drift := e.bp.drift
-	for _, idx := range blk.touched {
-		d := blk.delta[idx]
-		if d == 0 {
-			continue
-		}
-		cnt := e.c.counts[idx]
-		if cnt+d < 0 {
-			return false
-		}
-		lim := int64(2 * drift * float64(cnt))
-		if lim < 8 {
-			lim = 8
-		}
-		if d > lim || d < -lim {
-			return false
-		}
+	if !e.safetyOK(&blk.delta) {
+		return false
 	}
 	for _, d := range blk.extraDelta {
-		if d > 8 {
+		if !e.bp.withinBound(0, d) {
 			return false
 		}
 	}
@@ -254,11 +206,7 @@ func (blk *shardBlock) safetyOK(e *CountEngine) bool {
 
 // resetAll clears the resolve-pass scratch.
 func (blk *shardBlock) resetAll() {
-	for _, idx := range blk.touched {
-		blk.delta[idx] = 0
-		blk.seen[idx] = false
-	}
-	blk.touched = blk.touched[:0]
+	blk.delta.reset()
 	if len(blk.extraCode) > 0 {
 		clear(blk.extraIdx)
 		blk.extraCode = blk.extraCode[:0]
@@ -444,73 +392,12 @@ func (sr *shardRunner) splitWeighted(rows int, tau int64) int {
 	return nb
 }
 
-// flowPass accumulates the block's pair-row rates into block-local
-// scratch. Entries come from the block's own slot-matrix rows; a cell
-// not yet filled is read from det without writing it and copied into
-// the row, and a pair det has not classified is parked on the miss list
-// for the serial classify step. Block position ranges are disjoint and
-// no two occupied states share a slot, so neither the matrix rows nor
-// the per-row randomized rate mass in randRow has write overlap.
-func (blk *shardBlock) flowPass(e *CountEngine, randRow []float64) {
-	sm, det := e.bp.slots, e.bp.det
-	c := e.c
-	totalW := float64(e.n) * float64(e.n-1)
-	for pos := blk.lo; pos < blk.hi; pos++ {
-		i := e.occ[pos]
-		ci := c.counts[i]
-		row := sm.row(sm.occSlot[pos])
-		rr := 0.0
-		for pj, j := range e.occ {
-			w := c.counts[j]
-			if j == i {
-				w = ci - 1
-			}
-			if w == 0 {
-				continue
-			}
-			sj := sm.occSlot[pj]
-			var ent detEntry
-			if row != nil && sj >= 0 {
-				ent = row[sj]
-			}
-			if ent.kind == pairUnknown {
-				var ok bool
-				ent, ok = det[uint64(uint32(i))<<32|uint64(uint32(j))]
-				if !ok {
-					blk.misses = append(blk.misses, uint64(uint32(pos))<<32|uint64(uint32(j)))
-					continue
-				}
-				if row != nil && sj >= 0 {
-					row[sj] = ent
-				}
-			}
-			if ent.kind == pairNoop {
-				continue
-			}
-			lam := float64(ci) * float64(w) / totalW
-			if ent.kind == pairDet {
-				for x := 0; x < int(ent.nm); x++ {
-					d := float64(ent.d[x])
-					if d < 0 {
-						d = -d
-					}
-					blk.addFlow(int(ent.idx[x]), lam*d)
-				}
-			} else {
-				blk.addFlow(i, lam)
-				blk.addFlow(j, lam)
-				rr += lam
-			}
-		}
-		randRow[pos] = rr
-	}
-}
-
 // planTauSharded is the sharded planner's pre-leap sizing: the slot
-// matrix is synced, the flow pass fans out over even row blocks, then a
-// serial step classifies the det misses (the epoch's only det writes),
-// merges block flows in ascending block order, and sizes τ exactly like
-// the serial planTau.
+// matrix is synced, flowRows fans out over even row blocks with det
+// misses parked, then a serial step merges block flows in ascending
+// block order, classifies the misses (the epoch's only det writes) and
+// adds their flows, and sizeTau bounds the epoch like the serial
+// planTau.
 func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
 	e.syncSlots()
 	sr, bp, c := e.sr, e.bp, e.c
@@ -521,16 +408,19 @@ func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
 	sr.randRow = sr.randRow[:rows]
 	nb := sr.splitEven(rows)
 	fanned := int64(rows)*int64(rows) >= shardFanoutMinWork
-	sr.runBlocks(nb, fanned, func(b int) { sr.blocks[b].flowPass(e, sr.randRow) })
+	sr.runBlocks(nb, fanned, func(b int) {
+		blk := sr.blocks[b]
+		e.flowRows(blk.lo, blk.hi, &blk.flow, sr.randRow, &blk.misses)
+	})
 
 	// Serial confirm: merge block flows in block order, then classify
 	// the misses — the only det writes and state discoveries of the
 	// epoch, in ascending (row, responder) order.
 	for _, blk := range sr.blocks[:nb] {
-		for _, idx := range blk.ftouch {
-			bp.addFlow(idx, blk.flow[idx])
+		for _, idx := range blk.flow.touched {
+			bp.flow.add(idx, blk.flow.val[idx])
 		}
-		blk.resetFlow()
+		blk.flow.reset()
 	}
 	totalW := float64(e.n) * float64(e.n-1)
 	for _, blk := range sr.blocks[:nb] {
@@ -553,11 +443,11 @@ func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
 					if d < 0 {
 						d = -d
 					}
-					bp.addFlow(int(ent.idx[x]), lam*d)
+					bp.flow.add(int(ent.idx[x]), lam*d)
 				}
 			} else {
-				bp.addFlow(i, lam)
-				bp.addFlow(j, lam)
+				bp.flow.add(i, lam)
+				bp.flow.add(j, lam)
 				sr.randRow[pos] += lam
 			}
 		}
@@ -567,25 +457,7 @@ func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
 	for pos := 0; pos < rows; pos++ {
 		sr.randFlow += sr.randRow[pos]
 	}
-	if len(bp.ftouch) == 0 {
-		return 0, true
-	}
-	best := float64(bp.maxTau)
-	for _, idx := range bp.ftouch {
-		f := bp.flow[idx]
-		if f <= 0 {
-			continue
-		}
-		target := bp.drift * float64(c.counts[idx]) / 2
-		if target < 0.5 {
-			target = 0.5
-		}
-		if t := target / f; t < best {
-			best = t
-		}
-	}
-	bp.resetFlow()
-	return int64(best), false
+	return e.sizeTau()
 }
 
 // resolve is one block's resolve pass: the conditional-binomial
@@ -608,32 +480,9 @@ func (blk *shardBlock) resolve(e *CountEngine, rowTau []int64, delta func(qu, qv
 	sinceCheck := int64(0)
 	for pos := blk.lo; pos < blk.hi; pos++ {
 		i := e.occ[pos]
-		ri := rowTau[pos]
-		if ri == 0 {
-			continue
-		}
 		row := sm.row(sm.occSlot[pos])
-		respRem, respW := ri, e.n-1
-		for pj, j := range e.occ {
-			if respRem <= 0 {
-				break
-			}
-			w := c.counts[j]
-			if j == i {
-				w--
-			}
-			if w <= 0 {
-				continue
-			}
-			m := respRem
-			if w < respW {
-				m = blk.r.Binomial(respRem, float64(w)/float64(respW))
-			}
-			respRem -= m
-			respW -= w
-			if m == 0 {
-				continue
-			}
+		for pj, m := range e.responders(i, rowTau[pos], blk.r) {
+			j := e.occ[pj]
 			blk.plan = append(blk.plan, pairCount{int32(i), int32(j), m})
 			if blk.violated {
 				continue
@@ -652,7 +501,7 @@ func (blk *shardBlock) resolve(e *CountEngine, rowTau []int64, delta func(qu, qv
 			case pairNoop:
 			case pairDet:
 				for x := 0; x < int(ent.nm); x++ {
-					blk.add(int(ent.idx[x]), int64(ent.d[x])*m)
+					blk.delta.add(int(ent.idx[x]), int64(ent.d[x])*m)
 				}
 			default:
 				if delta == nil {
@@ -687,25 +536,14 @@ func (blk *shardBlock) resolve(e *CountEngine, rowTau []int64, delta func(qu, qv
 // serial split/retry machinery. Returns the number of interactions
 // executed.
 func (e *CountEngine) applyEpochSharded(tau int64) int64 {
-	sr, bp, c := e.sr, e.bp, e.c
+	sr, bp := e.sr, e.bp
 	sr.epochSeq++
 	e.stats.ShardEpochs++
 
 	// Serial: the initiator-row binomial chain, on the engine stream.
 	rows := len(e.occ)
 	sr.rowTau = sr.rowTau[:0]
-	rowRem, rowW := tau, e.n
-	for _, i := range e.occ {
-		ci := c.counts[i]
-		ri := int64(0)
-		if rowRem > 0 {
-			ri = rowRem
-			if ci < rowW {
-				ri = e.r.Binomial(rowRem, float64(ci)/float64(rowW))
-			}
-			rowRem -= ri
-		}
-		rowW -= ci
+	for _, ri := range e.rowShares(tau) {
 		sr.rowTau = append(sr.rowTau, ri)
 	}
 
@@ -735,8 +573,8 @@ func (e *CountEngine) applyEpochSharded(tau int64) int64 {
 	}
 	if !violated {
 		for _, blk := range sr.blocks[:nb] {
-			for _, idx := range blk.touched {
-				bp.add(idx, blk.delta[idx])
+			for _, idx := range blk.delta.touched {
+				bp.delta.add(idx, blk.delta.val[idx])
 			}
 			for k, code := range blk.extraCode {
 				if len(remap) > 0 {
@@ -744,12 +582,12 @@ func (e *CountEngine) applyEpochSharded(tau int64) int64 {
 						code = canon
 					}
 				}
-				bp.add(e.stateIndex(code), blk.extraDelta[k])
+				bp.delta.add(e.stateIndex(code), blk.extraDelta[k])
 			}
 		}
 		violated = !sr.resolveDeferred(nb)
 	}
-	if !violated && e.safetyOK() {
+	if !violated && e.safetyOK(&bp.delta) {
 		for _, blk := range sr.blocks[:nb] {
 			blk.resetAll()
 		}
@@ -763,7 +601,7 @@ func (e *CountEngine) applyEpochSharded(tau int64) int64 {
 	// concatenation is exactly a serial planPairs plan) through the
 	// serial split/retry machinery.
 	e.stats.MergeConflicts++
-	bp.reset()
+	bp.delta.reset()
 	plan := sr.fullPlan[:0]
 	for _, blk := range sr.blocks[:nb] {
 		plan = append(plan, blk.plan...)
@@ -784,28 +622,18 @@ func (sr *shardRunner) blockDelta(b int) func(qu, qv uint64, r *rng.Rand) (uint6
 
 // resolveDeferred serially resolves the randomized pairs of protocols
 // without shard closures, on the engine stream in ascending block
-// order, and reports whether the safety bound still holds.
+// order, and reports whether the safety bound still holds. Its check
+// stride runs over the deferred pairs alone: where it aborts decides
+// how much of the engine stream the epoch consumes.
 func (sr *shardRunner) resolveDeferred(nb int) bool {
-	e, bp := sr.e, sr.e.bp
+	e := sr.e
 	sinceCheck := int64(0)
 	for _, blk := range sr.blocks[:nb] {
 		for _, pc := range blk.randPairs {
-			i, j := int(pc.i), int(pc.j)
-			qu, qv := e.c.codes[i], e.c.codes[j]
-			e.stats.DeltaCalls += pc.m
-			for x := int64(0); x < pc.m; x++ {
-				a, b := e.p.Delta(qu, qv, e.r)
-				ia, ib := e.lookup(a, i, j), e.lookup(b, i, j)
-				if ia != i || ib != j {
-					bp.add(i, -1)
-					bp.add(j, -1)
-					bp.add(ia, 1)
-					bp.add(ib, 1)
-				}
-			}
+			e.resolveRandomized(int(pc.i), int(pc.j), pc.m)
 			sinceCheck += pc.m
 			if sinceCheck >= driftCheckStride {
-				if !e.safetyOK() {
+				if !e.safetyOK(&e.bp.delta) {
 					return false
 				}
 				sinceCheck = 0
@@ -813,61 +641,4 @@ func (sr *shardRunner) resolveDeferred(nb int) bool {
 		}
 	}
 	return true
-}
-
-// stepBatchedSharded is stepBatched with the sharded planner: the same
-// gates, backoff and exact-stepping fallbacks (those run on the engine
-// stream, exactly like the serial mode), with epoch planning and
-// application sharded across blocks.
-func (e *CountEngine) stepBatchedSharded(count int64) {
-	bp := e.bp
-	if bp.maxTau < batchMinTau {
-		e.stepExact(count)
-		return
-	}
-	rem := count
-	for rem > 0 {
-		if e.sl != nil && e.rowW.Total() <= 0 {
-			e.t += rem
-			return
-		}
-		if bp.cool > 0 {
-			run := bp.cool
-			if run > rem {
-				run = rem
-			}
-			e.stepExact(run)
-			bp.cool -= run
-			rem -= run
-			continue
-		}
-		if rem < batchMinTau {
-			e.stepExact(rem)
-			return
-		}
-		occ2 := int64(len(e.occ)) * int64(len(e.occ))
-		if occ2 >= bp.maxTau {
-			bp.backoff()
-			continue
-		}
-		tau, frozen := e.planTauSharded()
-		if frozen {
-			e.t += rem
-			return
-		}
-		if tau < batchMinTau || tau < occ2/2 {
-			bp.backoff()
-			continue
-		}
-		if tau > rem {
-			tau = rem
-		}
-		bp.bottom = false
-		rem -= e.applyEpochSharded(tau)
-		if bp.bottom {
-			bp.backoff()
-		} else {
-			bp.coolLen = batchCoolBase
-		}
-	}
 }

@@ -225,8 +225,9 @@ func TestCountShardSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestCountShardConfigRejections pins the configuration contract:
-// sharding requires batch stepping, and the agent engine supports no
-// sharding at all.
+// sharding requires batch stepping, the agent engine supports no
+// sharding at all, and the count engine refuses more than MaxShards
+// shards before allocating their blocks.
 func TestCountShardConfigRejections(t *testing.T) {
 	const n = 64
 	if _, err := sim.NewCountEngine(sim.NewSpecCount(junta.NewSpec(n)), sim.Config{Seed: 1, Shards: 2}); err == nil {
@@ -234,5 +235,20 @@ func TestCountShardConfigRejections(t *testing.T) {
 	}
 	if _, err := sim.NewEngine(sim.NewSpecAgent(junta.NewSpec(n)), sim.Config{Seed: 1, Shards: 2}); err == nil {
 		t.Fatal("agent engine accepted Shards=2")
+	}
+	p := sim.NewSpecCount(junta.NewSpec(n))
+	if _, err := sim.NewCountEngine(p, sim.Config{Seed: 1, BatchSteps: true, Shards: sim.MaxShards}); err != nil {
+		t.Fatalf("count engine rejected Shards=MaxShards: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := sim.NewCountEngine(p, sim.Config{Seed: 1, BatchSteps: true, Shards: sim.MaxShards + 1})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("count engine accepted Shards=%d", sim.MaxShards+1)
+	}
+	// Building MaxShards+1 shards' blocks would cost about 0.5 MB.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("rejecting Shards=%d allocated %d bytes", sim.MaxShards+1, got)
 	}
 }

@@ -308,6 +308,9 @@ func NewCountEngine(p CountProtocol, cfg Config) (*CountEngine, error) {
 	if int64(n) > MaxCountPopulation {
 		return nil, fmt.Errorf("sim: count engine population %d exceeds %d (int64 pair-weight bound)", n, int64(MaxCountPopulation))
 	}
+	if cfg.Shards > MaxShards {
+		return nil, fmt.Errorf("sim: Config.Shards=%d exceeds MaxShards=%d", cfg.Shards, MaxShards)
+	}
 	var ringSL func(qu, qv uint64) bool
 	if cfg.Scheduler != nil {
 		switch sched := cfg.Scheduler.(type) {
@@ -470,10 +473,6 @@ func (e *CountEngine) Step(count int64) {
 func (e *CountEngine) stepRaw(count int64) {
 	if e.ring != nil {
 		e.stepRing(count)
-		return
-	}
-	if e.sr != nil {
-		e.stepBatchedSharded(count)
 		return
 	}
 	if e.bp != nil {

@@ -7,8 +7,10 @@ import (
 	"sort"
 	"testing"
 
+	"popcount/internal/clock"
 	"popcount/internal/core"
 	"popcount/internal/junta"
+	"popcount/internal/leader"
 	"popcount/internal/sim"
 )
 
@@ -87,6 +89,15 @@ var goldenPins = map[string]goldenPin{
 			ShardEpochs: 2850, ShardBlocks: 13210, MergeConflicts: 4},
 		digest: 0xf2feca2ce02d0c2,
 	},
+	"leader-4096/shards=1": {
+		stats:  sim.EngineStats{DeltaCalls: 1396784, Epochs: 25232, Violations: 48, HalfDiscards: 32},
+		digest: 0x2be8084558bc1b13,
+	},
+	"leader-4096/shards=2": {
+		stats: sim.EngineStats{DeltaCalls: 1516237, Epochs: 24088, Violations: 33, HalfDiscards: 28,
+			ShardEpochs: 24108, ShardBlocks: 124850, MergeConflicts: 25},
+		digest: 0x1be0d76594b363ce,
+	},
 }
 
 // TestBatchPlannerGoldenCounters pins the batch planners' trajectories
@@ -123,6 +134,11 @@ func TestBatchPlannerGoldenCounters(t *testing.T) {
 		}, sim.Config{Seed: 1, BatchMaxRounds: 160}, 3 << 18},
 		{"junta-65536", func() sim.CountProtocol { return sim.NewSpecCount(junta.NewSpec(1 << 16)) }, sim.Config{Seed: 3}, 1 << 20},
 		{"approximate-4096-faulted", approx(1 << 12), sim.Config{Seed: 4, Faults: faults}, 1 << 21},
+		// The leader spec has randomized pairs and no shard closures, so
+		// its sharded run resolves them on the deferred serial path.
+		{"leader-4096", func() sim.CountProtocol {
+			return sim.NewSpecCount(leader.NewSpec(1<<12, clock.DefaultM, 24))
+		}, sim.Config{Seed: 1}, 1 << 22},
 	}
 	for _, tc := range cases {
 		for _, shards := range []int{1, 2} {

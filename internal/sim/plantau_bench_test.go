@@ -45,3 +45,39 @@ func BenchmarkPlanTau(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBatchEpochs times whole batch epochs — sizing, sampling,
+// resolution and commit together — over a fixed trajectory: each
+// iteration builds a fresh Approximate n = 2¹⁶ engine at seed 1 and
+// steps it 3000·n interactions, serially and at 2 shards. The epoch
+// count is a function of the trajectory alone, so ns/epoch compares
+// planner implementations that keep the trajectory. Skipped under
+// -short: one iteration takes seconds.
+func BenchmarkBatchEpochs(b *testing.B) {
+	if testing.Short() {
+		b.Skip("whole-run benchmark")
+	}
+	const n = 1 << 16
+	for _, bc := range []struct {
+		name   string
+		shards int
+	}{
+		{"serial", 1},
+		{"shards=2", 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var epochs int64
+			for i := 0; i < b.N; i++ {
+				e, err := sim.NewCountEngine(sim.NewSpecCount(core.NewApproximateSpec(core.Config{N: n}).Spec),
+					sim.Config{Seed: 1, BatchSteps: true, Shards: bc.shards})
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.Step(3000 * n)
+				epochs += e.Stats().Epochs
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(epochs), "ns/epoch")
+			b.ReportMetric(float64(epochs)/float64(b.N), "epochs")
+		})
+	}
+}

@@ -138,7 +138,8 @@ type Config struct {
 	// serial merge in ascending block order. Results depend on Shards
 	// but never on GOMAXPROCS or scheduling. Values ≤ 1 keep the serial
 	// planner, bit-for-bit identical to earlier releases. Only read when
-	// BatchSteps is set; the agent engine rejects values ≥ 2.
+	// BatchSteps is set; the agent engine rejects values ≥ 2, and the
+	// count engine values above MaxShards.
 	Shards int
 	// Faults, if non-nil, applies a deterministic fault schedule to the
 	// run (see FaultPlan): corruption bursts, Poisson corruption and

@@ -187,7 +187,8 @@ func WithBatchRounds(rounds int) Option {
 // ≥ 2 change the run's random-stream layout (results depend on the
 // shard count but never on GOMAXPROCS: the same seed and shard count
 // give the same trajectory and Stats on any machine) and are rejected
-// at construction for any engine other than EngineCountBatched. See
+// at construction for any engine other than EngineCountBatched. Counts
+// above 256 (sim.MaxShards) are rejected with ErrInvalidN. See
 // DESIGN.md, "Sharding a single run".
 func WithIntraRunParallelism(shards int) Option {
 	return func(s *settings) { s.shards = shards }
@@ -442,6 +443,16 @@ func newCountProtocol(alg Algorithm, n int, set settings) (sim.CountProtocol, bo
 // or a non-uniform scheduler was registered, and EngineAuto falls back
 // to the agent engine in both cases instead of erroring.
 func (set settings) resolveEngine(alg Algorithm) (EngineKind, error) {
+	if set.shards < 0 {
+		// A negative shard count is a mistake, not a request for the
+		// serial planner: reject it instead of silently ignoring it.
+		return 0, fmt.Errorf("%w: WithIntraRunParallelism(%d) — shard count must be non-negative", ErrInvalidN, set.shards)
+	}
+	if set.shards > sim.MaxShards {
+		// Every shard costs its planner blocks up front: refuse an
+		// enormous count first, before anything is allocated.
+		return 0, fmt.Errorf("%w: WithIntraRunParallelism(%d) — shard count exceeds %d", ErrInvalidN, set.shards, sim.MaxShards)
+	}
 	spec, supported := specFor(alg, 2, set)
 	uniform := true
 	if set.mkSched != nil {
@@ -461,11 +472,6 @@ func (set settings) resolveEngine(alg Algorithm) (EngineKind, error) {
 		if !uniform {
 			return 0, fmt.Errorf("%w: fault plans require the default uniform scheduler — drop the WithScheduler override", ErrUnsupportedEngine)
 		}
-	}
-	if set.shards < 0 {
-		// A negative shard count is a mistake, not a request for the
-		// serial planner: reject it instead of silently ignoring it.
-		return 0, fmt.Errorf("%w: WithIntraRunParallelism(%d) — shard count must be non-negative", ErrInvalidN, set.shards)
 	}
 	if set.shards >= 2 && set.engine != EngineCountBatched {
 		return 0, fmt.Errorf("%w: WithIntraRunParallelism(%d) requires EngineCountBatched — only batch epochs shard (engine %v requested)", ErrUnsupportedEngine, set.shards, set.engine)
