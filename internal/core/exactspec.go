@@ -53,7 +53,7 @@ func NewCountExactSpec(cfg Config) *CountExactSpec {
 		Delta: func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 			a, b := p.in.State(qu), p.in.State(qv)
 			rule.stepPair(&a, &b, r)
-			return p.in.Code(canonExact(a)), p.in.Code(canonExact(b))
+			return p.in.Recode(canonExact(a), qu), p.in.Recode(canonExact(b), qv)
 		},
 		ShardDelta: func(k int) ([]func(qu, qv uint64, r *rng.Rand) (uint64, uint64), func() map[uint64]uint64) {
 			g := sim.ShardViews(p.in, k)
@@ -63,7 +63,7 @@ func NewCountExactSpec(cfg Config) *CountExactSpec {
 				ds[i] = func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 					a, b := v.State(qu), v.State(qv)
 					rule.stepPair(&a, &b, r)
-					return v.Code(canonExact(a)), v.Code(canonExact(b))
+					return v.Recode(canonExact(a), qu), v.Recode(canonExact(b), qv)
 				}
 			}
 			return ds, g.Reconcile

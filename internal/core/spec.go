@@ -115,7 +115,7 @@ func NewApproximateSpec(cfg Config) *ApproximateSpec {
 		Delta: func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 			a, b := p.in.State(qu), p.in.State(qv)
 			rule.stepPair(&a, &b, r)
-			return p.in.Code(canonApprox(a)), p.in.Code(canonApprox(b))
+			return p.in.Recode(canonApprox(a), qu), p.in.Recode(canonApprox(b), qv)
 		},
 		ShardDelta: func(k int) ([]func(qu, qv uint64, r *rng.Rand) (uint64, uint64), func() map[uint64]uint64) {
 			g := sim.ShardViews(p.in, k)
@@ -125,7 +125,7 @@ func NewApproximateSpec(cfg Config) *ApproximateSpec {
 				ds[i] = func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 					a, b := v.State(qu), v.State(qv)
 					rule.stepPair(&a, &b, r)
-					return v.Code(canonApprox(a)), v.Code(canonApprox(b))
+					return v.Recode(canonApprox(a), qu), v.Recode(canonApprox(b), qv)
 				}
 			}
 			return ds, g.Reconcile

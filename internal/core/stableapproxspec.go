@@ -44,7 +44,7 @@ func NewStableApproximateSpec(cfg Config, faultInject bool) *StableApproximateSp
 		Delta: func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 			a, b := p.in.State(qu), p.in.State(qv)
 			rule.stepPair(&a, &b, r)
-			return p.in.Code(canonStableApprox(a)), p.in.Code(canonStableApprox(b))
+			return p.in.Recode(canonStableApprox(a), qu), p.in.Recode(canonStableApprox(b), qv)
 		},
 		ShardDelta: func(k int) ([]func(qu, qv uint64, r *rng.Rand) (uint64, uint64), func() map[uint64]uint64) {
 			g := sim.ShardViews(p.in, k)
@@ -54,7 +54,7 @@ func NewStableApproximateSpec(cfg Config, faultInject bool) *StableApproximateSp
 				ds[i] = func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 					a, b := v.State(qu), v.State(qv)
 					rule.stepPair(&a, &b, r)
-					return v.Code(canonStableApprox(a)), v.Code(canonStableApprox(b))
+					return v.Recode(canonStableApprox(a), qu), v.Recode(canonStableApprox(b), qv)
 				}
 			}
 			return ds, g.Reconcile

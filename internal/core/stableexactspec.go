@@ -53,7 +53,7 @@ func NewStableCountExactSpec(cfg Config, faultInject bool) *StableCountExactSpec
 		Delta: func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 			a, b := p.in.State(qu), p.in.State(qv)
 			rule.stepPair(&a, &b, r)
-			return p.in.Code(canonStableExact(a)), p.in.Code(canonStableExact(b))
+			return p.in.Recode(canonStableExact(a), qu), p.in.Recode(canonStableExact(b), qv)
 		},
 		ShardDelta: func(k int) ([]func(qu, qv uint64, r *rng.Rand) (uint64, uint64), func() map[uint64]uint64) {
 			g := sim.ShardViews(p.in, k)
@@ -63,7 +63,7 @@ func NewStableCountExactSpec(cfg Config, faultInject bool) *StableCountExactSpec
 				ds[i] = func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 					a, b := v.State(qu), v.State(qv)
 					rule.stepPair(&a, &b, r)
-					return v.Code(canonStableExact(a)), v.Code(canonStableExact(b))
+					return v.Recode(canonStableExact(a), qu), v.Recode(canonStableExact(b), qv)
 				}
 			}
 			return ds, g.Reconcile

@@ -10,8 +10,16 @@
 // proportional to c[i]·c[j] for i ≠ j and c[i]·(c[i]−1) on the diagonal.
 // The CountEngine samples exactly that distribution from a cached
 // cumulative (Fenwick) sampler over the counts that is incrementally
-// repaired as transitions move agents between states, so memory is
-// O(|occupied states|) and a step costs O(log k) — independent of n.
+// repaired as transitions move agents between states. Memory and the
+// sampler's O(log k) step cost are set by k, the discovered alphabet:
+// every state ever occupied keeps its dense slot, so the engine stays
+// independent of n but not of the trajectory's history (one CountExact
+// run at n = 2¹¹ discovers ~71k states while ~110 are occupied at a
+// time). The occupied window — the smallest range of dense slots that
+// holds every agent — bounds what a step actually reads: while it is at
+// most scanWidth slots wide, pairs are drawn by a linear scan of it
+// instead of the Fenwick descent, and the configuration's iterators
+// visit only it.
 //
 // Protocols that additionally implement SelfLooper get a second fast
 // path: pairs whose transition is certainly the identity ("certain
@@ -121,6 +129,14 @@ type CountConfig struct {
 	n      int64
 	s      *countdist.Sampler32 // cumulative sampler over counts (total n ≤ 2³¹)
 
+	// lo and hi bound the occupied window: [lo, hi) is the smallest
+	// range of dense indices holding every agent (lo == hi when empty).
+	// Every lasting count change goes through CountEngine.occShift,
+	// which reframes the window at zero crossings. A synchronized
+	// protocol's front moves rather than spreads, so the window trails
+	// the newest discoveries while the history behind it stays at zero.
+	lo, hi int
+
 	// dense caches index for codes below denseCodeCap: dense[code] is
 	// index+1, zero means unregistered. Interner-backed specs emit
 	// first-sight-dense codes, so for them this turns the successor
@@ -149,11 +165,12 @@ func (c *CountConfig) Count(code uint64) int64 {
 	return 0
 }
 
-// ForEach calls f for every currently occupied state.
+// ForEach calls f for every currently occupied state, in ascending
+// dense (discovery) order.
 func (c *CountConfig) ForEach(f func(code uint64, count int64)) {
-	for i, cnt := range c.counts {
+	for i, cnt := range c.counts[c.lo:c.hi] {
 		if cnt > 0 {
-			f(c.codes[i], cnt)
+			f(c.codes[c.lo+i], cnt)
 		}
 	}
 }
@@ -161,7 +178,7 @@ func (c *CountConfig) ForEach(f func(code uint64, count int64)) {
 // States returns the number of currently occupied states.
 func (c *CountConfig) States() int {
 	k := 0
-	for _, cnt := range c.counts {
+	for _, cnt := range c.counts[c.lo:c.hi] {
 		if cnt > 0 {
 			k++
 		}
@@ -171,13 +188,54 @@ func (c *CountConfig) States() int {
 
 // Sum returns the total agent count Σ counts. It equals N() at all times
 // — population protocols conserve agents — and exists so tests and fuzz
-// targets can assert the invariant.
+// targets can assert the invariant. It sums the occupied window only,
+// so an agent the window lost would show as a shortfall.
 func (c *CountConfig) Sum() int64 {
 	var s int64
-	for _, cnt := range c.counts {
+	for _, cnt := range c.counts[c.lo:c.hi] {
 		s += cnt
 	}
 	return s
+}
+
+// reframe restores the occupied window after slot idx crossed zero.
+// A slot that fills widens the window to cover it; a slot that empties
+// shrinks the window past any run of empty slots at either end (when it
+// sat strictly inside, both ends are still occupied and nothing moves).
+func (c *CountConfig) reframe(idx int) {
+	if c.counts[idx] > 0 {
+		if c.lo == c.hi {
+			c.lo, c.hi = idx, idx+1
+		} else {
+			c.lo, c.hi = min(c.lo, idx), max(c.hi, idx+1)
+		}
+		return
+	}
+	for c.lo < c.hi && c.counts[c.lo] == 0 {
+		c.lo++
+	}
+	for c.hi > c.lo && c.counts[c.hi-1] == 0 {
+		c.hi--
+	}
+}
+
+// scanWidth is the widest occupied window that samplePairR walks
+// linearly; wider windows take the Fenwick descent. A CountExact run at
+// n = 2¹¹ or 2¹⁴ draws ~93% of its pairs from a window at most 64 slots
+// wide; its balancing phases open windows thousands of slots wide.
+const scanWidth = 64
+
+// scan returns the dense index holding cumulative position x of the
+// window's counts. Slots below the window are empty, so this is the
+// index Find(x) returns.
+func (c *CountConfig) scan(x int64) int {
+	for k, cnt := range c.counts[c.lo:c.hi] {
+		if x < cnt {
+			return c.lo + k
+		}
+		x -= cnt
+	}
+	panic("sim: sampling position beyond the occupied window")
 }
 
 // CountEngine simulates a CountProtocol on its configuration. It shares
@@ -244,8 +302,8 @@ type CountEngine struct {
 	// trackOcc gates occ maintenance. Only the batch planner, the shard
 	// runner and the fault plane read the list — all fixed at
 	// construction — so the plain sequential engine skips the sorted
-	// splice its zero-crossing-heavy protocols (CountExact crosses on
-	// nearly every interaction) would otherwise pay per apply.
+	// splice, an O(occupied) copy per zero crossing. CountExact at
+	// n = 2¹¹ fills an empty state on 2.0% of its interactions.
 	trackOcc bool
 
 	stats EngineStats
@@ -433,10 +491,10 @@ func (e *CountEngine) PluralityOutput() (out int64, ok bool) {
 	}
 	best := int64(-1)
 	var bestCode uint64
-	for i, cnt := range e.c.counts {
+	for i, cnt := range e.c.counts[e.c.lo:e.c.hi] {
 		if cnt > best {
 			best = cnt
-			bestCode = e.c.codes[i]
+			bestCode = e.c.codes[e.c.lo+i]
 		}
 	}
 	if best <= 0 {
@@ -547,11 +605,12 @@ func (e *CountEngine) stepRing(count int64) {
 // count. A RingExchangeable trajectory has at most two occupied
 // states (the spreading state and the one it displaces).
 func (e *CountEngine) ringBoundary() (lo, hi uint64, k int) {
-	for i, cnt := range e.c.counts {
+	c := e.c
+	for i, cnt := range c.counts[c.lo:c.hi] {
 		if cnt <= 0 {
 			continue
 		}
-		code := e.c.codes[i]
+		code := c.codes[c.lo+i]
 		if k == 0 {
 			lo, hi = code, code
 		} else if code < lo {
@@ -637,10 +696,22 @@ func (e *CountEngine) samplePair() (int, int) { return e.samplePairR(e.r) }
 
 // samplePairR is samplePair over an explicit generator — the fault
 // plane's adversaries draw from the fault stream, the hot path from the
-// scheduler stream, with identical draw order either way.
+// scheduler stream, with identical draw order either way. A window at
+// most scanWidth wide is scanned linearly, a wider one searched on the
+// Fenwick tree; both map every draw to the same dense index.
 func (e *CountEngine) samplePairR(r *rng.Rand) (int, int) {
-	i := e.c.s.Find(r.Int64n(e.n))
-	return i, e.responderIndex(i, r)
+	c := e.c
+	if c.hi-c.lo > scanWidth {
+		i := c.s.Find(r.Int64n(e.n))
+		return i, e.responderIndex(i, r)
+	}
+	i := c.scan(r.Int64n(e.n))
+	// The responder is uniform over the other n−1 agents: scan with the
+	// initiator taken out of its block, as responderIndex does.
+	c.counts[i]--
+	j := c.scan(r.Int64n(e.n - 1))
+	c.counts[i]++
+	return i, j
 }
 
 // responderIndex draws the responder state for an initiator in dense
@@ -783,30 +854,30 @@ func (e *CountEngine) shift(idx int, d int64) {
 	e.rowW.Add(idx, c.counts[idx]*e.elig(idx))
 }
 
-// occShift applies the count change and keeps the sorted occupied list
-// in step with zero crossings. Occupied alphabets are small (the moving
-// front of a synchronized protocol), so the O(occupied) splice on a
-// crossing is cheaper than any tree would be. A crossing only marks the
-// batch planner's slot matrix dirty; the planner resyncs it when it
-// next plans.
+// occShift applies the count change and, at zero crossings, reframes
+// the occupied window and keeps the sorted occupied list in step.
+// Occupied alphabets are small (the moving front of a synchronized
+// protocol), so the O(occupied) splice on a crossing is cheaper than
+// any tree would be. A crossing only marks the batch planner's slot
+// matrix dirty; the planner resyncs it when it next plans.
 func (e *CountEngine) occShift(idx int, d int64) {
 	c := e.c
 	was := c.counts[idx]
 	c.counts[idx] = was + d
+	if (was == 0) == (c.counts[idx] == 0) {
+		return
+	}
+	c.reframe(idx)
 	if !e.trackOcc {
 		return
 	}
-	switch {
-	case was == 0 && c.counts[idx] > 0:
-		i := sort.SearchInts(e.occ, idx)
+	i := sort.SearchInts(e.occ, idx)
+	if was == 0 {
 		e.occ = append(e.occ, 0)
 		copy(e.occ[i+1:], e.occ[i:])
 		e.occ[i] = idx
-	case was > 0 && c.counts[idx] == 0:
-		i := sort.SearchInts(e.occ, idx)
+	} else {
 		e.occ = append(e.occ[:i], e.occ[i+1:]...)
-	default:
-		return
 	}
 	if e.bp != nil && e.bp.slots != nil {
 		e.bp.slots.dirty = true

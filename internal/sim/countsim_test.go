@@ -6,6 +6,7 @@ import (
 
 	"popcount/internal/baseline"
 	"popcount/internal/clock"
+	"popcount/internal/core"
 	"popcount/internal/epidemic"
 	"popcount/internal/junta"
 	"popcount/internal/sim"
@@ -221,4 +222,25 @@ func TestRunCountTrials(t *testing.T) {
 			t.Fatalf("trial %d: ensemble %+v vs solo %+v", i, run.Result, solo)
 		}
 	}
+}
+
+// BenchmarkCountStep times the exact count engine's per-interaction
+// path over a fixed trajectory: each iteration builds a fresh CountExact
+// n = 2¹¹ engine at seed 1 and steps it 3·2²⁰ interactions, through
+// narrow occupied windows (the linear scan) and the wide ones of the
+// balancing phases (the Fenwick descent). Skipped under -short: one
+// iteration takes about half a second.
+func BenchmarkCountStep(b *testing.B) {
+	if testing.Short() {
+		b.Skip("whole-run benchmark")
+	}
+	const steps = 3 << 20
+	for i := 0; i < b.N; i++ {
+		e, err := sim.NewCountEngine(sim.NewSpecCount(core.NewCountExactSpec(core.Config{N: 1 << 11}).Spec), sim.Config{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Step(steps)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/interaction")
 }

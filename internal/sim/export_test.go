@@ -7,6 +7,9 @@ import "fmt"
 // CheckSlotMatrix runs checkSlotMatrix on e.
 func CheckSlotMatrix(e *CountEngine) error { return e.checkSlotMatrix() }
 
+// CheckWindow runs checkWindow on e's configuration.
+func CheckWindow(e *CountEngine) error { return e.c.checkWindow() }
+
 // PlanTau runs one serial pre-leap τ-sizing pass.
 func PlanTau(e *CountEngine) (int64, bool) { return e.planTau() }
 
@@ -59,6 +62,24 @@ func (e *CountEngine) checkSlotMatrix() error {
 				return fmt.Errorf("cell (%d, %d) for pair (%d, %d) is %+v, det has %+v (present %v)", a, b, oa, ob, cell, want, ok)
 			}
 		}
+	}
+	return nil
+}
+
+// checkWindow verifies the occupied window: [lo, hi) lies within the
+// dense slots, every count outside it is zero, and its first and last
+// slots are occupied.
+func (c *CountConfig) checkWindow() error {
+	if c.lo < 0 || c.lo >= c.hi || c.hi > len(c.counts) {
+		return fmt.Errorf("window [%d, %d) over %d slots", c.lo, c.hi, len(c.counts))
+	}
+	for i, cnt := range c.counts {
+		if cnt != 0 && (i < c.lo || i >= c.hi) {
+			return fmt.Errorf("slot %d holds %d agents outside the window [%d, %d)", i, cnt, c.lo, c.hi)
+		}
+	}
+	if c.counts[c.lo] <= 0 || c.counts[c.hi-1] <= 0 {
+		return fmt.Errorf("window [%d, %d) ends on an empty slot (counts %d, %d)", c.lo, c.hi, c.counts[c.lo], c.counts[c.hi-1])
 	}
 	return nil
 }

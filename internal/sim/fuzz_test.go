@@ -134,9 +134,10 @@ func FuzzCountConservation(f *testing.F) {
 // arbitrary interleavings of batch sizes must conserve Σ counts == n
 // with non-negative counts and an exact interaction counter, keep the
 // planner's occupied-slot matrix consistent with its transition-matrix
-// map, and — the exact-fallback contract — a batch-mode engine stepped
-// only below the batching threshold must stay bit-for-bit equal to a
-// seed-matched sequential count engine.
+// map and the occupied window tight around every agent, and — the
+// exact-fallback contract — a batch-mode engine stepped only below the
+// batching threshold must stay bit-for-bit equal to a seed-matched
+// sequential count engine.
 func FuzzCountBatchEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(300), uint16(1000), uint8(0), []byte{0x5a})
 	f.Add(uint64(42), uint16(2), uint16(1), uint8(1), []byte{})
@@ -166,6 +167,9 @@ func FuzzCountBatchEquivalence(f *testing.F) {
 			}
 			e.Step(batch)
 			done += batch
+			if err := sim.CheckWindow(e); err != nil {
+				t.Fatalf("window after %d interactions: %v", done, err)
+			}
 			if err := sim.CheckSlotMatrix(e); err != nil {
 				t.Fatalf("slot matrix after %d interactions: %v", done, err)
 			}
@@ -220,9 +224,9 @@ func FuzzCountBatchEquivalence(f *testing.F) {
 // FuzzShardMergeEquivalence fuzzes the sharded batch planner
 // (sim.Config.Shards, countshard.go) across random protocols, shard
 // counts and batch interleavings. Three contracts: Σ counts == n with
-// non-negative counts, an exact interaction counter and a slot matrix
-// consistent with the transition-matrix map after every batch at any
-// shard count; Shards ≤ 1 is the compatibility stream,
+// non-negative counts, an exact interaction counter, a tight occupied
+// window and a slot matrix consistent with the transition-matrix map
+// after every batch at any shard count; Shards ≤ 1 is the compatibility stream,
 // bit-for-bit identical to the plain serial batched planner; and at a
 // fixed shard count ≥ 2 the run — configuration and every engine
 // counter — is identical on one core and many.
@@ -259,6 +263,9 @@ func FuzzShardMergeEquivalence(f *testing.F) {
 				}
 				e.Step(batch)
 				done += batch
+				if err := sim.CheckWindow(e); err != nil {
+					t.Fatalf("shards=%d: window after %d interactions: %v", shards, done, err)
+				}
 				if err := sim.CheckSlotMatrix(e); err != nil {
 					t.Fatalf("shards=%d: slot matrix after %d interactions: %v", shards, done, err)
 				}

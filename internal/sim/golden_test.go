@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"testing"
@@ -14,8 +13,8 @@ import (
 	"popcount/internal/sim"
 )
 
-// goldenPin is what one pinned batched run must reproduce: every
-// engine counter and a digest of the final configuration.
+// goldenPin is what one pinned run must reproduce: every engine
+// counter and a digest of the final configuration.
 type goldenPin struct {
 	stats  sim.EngineStats
 	digest uint64
@@ -41,10 +40,41 @@ func configDigest(e *sim.CountEngine) uint64 {
 	return h.Sum64()
 }
 
-// goldenPins are the trajectories of the map-only planner: the
-// occupied-slot matrix is a cache in front of the transition-matrix map,
-// so every batched trajectory must reproduce them bit for bit.
+// goldenPins are the trajectories of the map-only planner and of the
+// Fenwick-only sampler: the occupied-slot matrix is a cache in front of
+// the transition-matrix map, and the occupied window's linear scan
+// returns the index the Fenwick descent returns, so every trajectory
+// must reproduce them bit for bit.
 var goldenPins = map[string]goldenPin{
+	"approximate-4096/unbatched": {
+		stats:  sim.EngineStats{DeltaCalls: 4194304},
+		digest: 0xfa048f991dd30227,
+	},
+	"approximate-16384/unbatched": {
+		stats:  sim.EngineStats{DeltaCalls: 8388608},
+		digest: 0x70c3b0e7a982a0be,
+	},
+	"exact-4096/unbatched": {
+		stats:  sim.EngineStats{DeltaCalls: 786432},
+		digest: 0x6c6db4155a666a80,
+	},
+	"junta-65536/unbatched": {
+		stats:  sim.EngineStats{DeltaCalls: 180258},
+		digest: 0x16beb94f53a8fbcc,
+	},
+	"approximate-4096-faulted/unbatched": {
+		stats:  sim.EngineStats{DeltaCalls: 2097152},
+		digest: 0xf8a85a99f56e2b18,
+	},
+	"leader-4096/unbatched": {
+		stats:  sim.EngineStats{DeltaCalls: 4194304},
+		digest: 0x103710b54d622140,
+	},
+	// 3,749,888 interactions to convergence, 71,736 states discovered.
+	"exact-2048-converged/unbatched": {
+		stats:  sim.EngineStats{DeltaCalls: 3749888},
+		digest: 0x76882b8bb3634cb8,
+	},
 	"approximate-4096/shards=1": {
 		stats:  sim.EngineStats{DeltaCalls: 135676, Epochs: 32244, Violations: 68, HalfDiscards: 44},
 		digest: 0x58f0c185e5654f6c,
@@ -100,15 +130,22 @@ var goldenPins = map[string]goldenPin{
 	},
 }
 
-// TestBatchPlannerGoldenCounters pins the batch planners' trajectories
-// — serial (Shards 1) and sharded (Shards 2) — on Approximate, on
-// CountExact with an epoch cap loose enough that planning sees more
-// occupied states than the slot matrix holds, on the junta process and
-// on a faulted run. It also checks the slot matrix against the map
-// after every Step.
+// TestBatchPlannerGoldenCounters pins the count engine's trajectories
+// — unbatched, and through the batch planners serial (Shards 1) and
+// sharded (Shards 2) — on Approximate, on CountExact with an epoch cap
+// loose enough that planning sees more occupied states than the slot
+// matrix holds, on the junta process (the unbatched self-loop skip
+// path), on a faulted run and on the leader spec. One more row runs
+// CountExact n = 2¹¹ unbatched to convergence, through both of the
+// sampler's lookup paths. After every Step (every poll, for the run to
+// convergence) it checks the occupied window and the slot matrix
+// against the map.
 func TestBatchPlannerGoldenCounters(t *testing.T) {
 	approx := func(n int) func() sim.CountProtocol {
 		return func() sim.CountProtocol { return sim.NewSpecCount(core.NewApproximateSpec(core.Config{N: n}).Spec) }
+	}
+	exact := func(n int) func() sim.CountProtocol {
+		return func() sim.CountProtocol { return sim.NewSpecCount(core.NewCountExactSpec(core.Config{N: n}).Spec) }
 	}
 	faults := &sim.FaultPlan{
 		Seed:          5,
@@ -122,16 +159,14 @@ func TestBatchPlannerGoldenCounters(t *testing.T) {
 		name  string
 		proto func() sim.CountProtocol
 		cfg   sim.Config
-		steps int64
+		steps int64 // zero: run unbatched to convergence
 	}{
 		{"approximate-4096", approx(1 << 12), sim.Config{Seed: 1}, 1 << 22},
 		{"approximate-16384", approx(1 << 14), sim.Config{Seed: 2}, 1 << 23},
 		// Planning runs only while occupied² < BatchMaxRounds·n, so
 		// this cap lets one pass see over 500 occupied states, past the
 		// slot matrix's 256, before the run settles into slot churn.
-		{"exact-4096", func() sim.CountProtocol {
-			return sim.NewSpecCount(core.NewCountExactSpec(core.Config{N: 1 << 12}).Spec)
-		}, sim.Config{Seed: 1, BatchMaxRounds: 160}, 3 << 18},
+		{"exact-4096", exact(1 << 12), sim.Config{Seed: 1, BatchMaxRounds: 160}, 3 << 18},
 		{"junta-65536", func() sim.CountProtocol { return sim.NewSpecCount(junta.NewSpec(1 << 16)) }, sim.Config{Seed: 3}, 1 << 20},
 		{"approximate-4096-faulted", approx(1 << 12), sim.Config{Seed: 4, Faults: faults}, 1 << 21},
 		// The leader spec has randomized pairs and no shard closures, so
@@ -139,23 +174,48 @@ func TestBatchPlannerGoldenCounters(t *testing.T) {
 		{"leader-4096", func() sim.CountProtocol {
 			return sim.NewSpecCount(leader.NewSpec(1<<12, clock.DefaultM, 24))
 		}, sim.Config{Seed: 1}, 1 << 22},
+		{"exact-2048-converged", exact(1 << 11), sim.Config{Seed: 1}, 0},
+	}
+	type mode struct {
+		name   string
+		batch  bool
+		shards int
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 2} {
-			name := fmt.Sprintf("%s/shards=%d", tc.name, shards)
+		modes := []mode{{"unbatched", false, 0}, {"shards=1", true, 1}, {"shards=2", true, 2}}
+		if tc.steps == 0 {
+			modes = modes[:1]
+		}
+		for _, m := range modes {
+			name := tc.name + "/" + m.name
 			t.Run(name, func(t *testing.T) {
 				cfg := tc.cfg
-				cfg.BatchSteps, cfg.Shards = true, shards
+				cfg.BatchSteps, cfg.Shards = m.batch, m.shards
+				var e *sim.CountEngine
+				check := func(done int64) {
+					if err := sim.CheckWindow(e); err != nil {
+						t.Fatalf("after %d interactions: %v", done, err)
+					}
+					if err := sim.CheckSlotMatrix(e); err != nil {
+						t.Fatalf("after %d interactions: %v", done, err)
+					}
+				}
+				if tc.steps == 0 {
+					cfg.Observe = func(obs sim.Observation) { check(obs.Interactions) }
+				}
 				e, err := sim.NewCountEngine(tc.proto(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if tc.steps == 0 {
+					if res, err := e.RunToConvergence(); err != nil || !res.Converged {
+						t.Fatalf("run to convergence: %+v, %v", res, err)
+					}
+				}
 				chunk := tc.steps / 8
 				for done := int64(0); done < tc.steps; done += chunk {
 					e.Step(chunk)
-					if err := sim.CheckSlotMatrix(e); err != nil {
-						t.Fatalf("after %d interactions: %v", done+chunk, err)
-					}
+					check(done + chunk)
 				}
 				got := goldenPin{e.Stats(), configDigest(e)}
 				want, ok := goldenPins[name]

@@ -64,6 +64,18 @@ func (in *Interner[S]) Code(s S) uint64 {
 	return uint64(len(in.states)) - 1
 }
 
+// Recode returns Code(s) for a successor s of the state coded was,
+// skipping the hash when s is that state: the interner holds each state
+// once, so states[was] == s means Code(s) would return was, and a hit
+// has no side effect. Interned rules leave most agents' states
+// unchanged, so this is one struct compare where Code hashes.
+func (in *Interner[S]) Recode(s S, was uint64) uint64 {
+	if in.states[was] == s {
+		return was
+	}
+	return in.Code(s)
+}
+
 // State returns the state a code was assigned to. It panics on a code
 // this interner never issued — such a code cannot come from the same
 // trajectory and indicates mixed-up spec instances.
@@ -150,6 +162,17 @@ func (v *InternView[S]) Code(s S) uint64 {
 	v.codes[s] = c
 	v.order = append(v.order, s)
 	return c
+}
+
+// Recode is Interner.Recode on the view: was may be a base code or one
+// of this view's provisional codes. Either way State(was) == s means
+// Code(s) would return was — the frozen base never holds a state the
+// view coded provisionally.
+func (v *InternView[S]) Recode(s S, was uint64) uint64 {
+	if v.State(was) == s {
+		return was
+	}
+	return v.Code(s)
 }
 
 // State resolves a code issued by the base or by this view. Codes from

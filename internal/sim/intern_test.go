@@ -113,3 +113,47 @@ func BenchmarkDeltaMemoHit(b *testing.B) {
 		m.Delta(codes[i&15], codes[(i>>4)&15], nil)
 	}
 }
+
+// TestInternerRecode checks that Recode returns what Code returns — on
+// the base interner and on a shard view, for base and provisional
+// codes — and that the unchanged-successor short-circuit assigns
+// nothing.
+func TestInternerRecode(t *testing.T) {
+	in := sim.NewInterner[benchProduct]()
+	s := benchStates(3)
+	a, b := in.Code(s[0]), in.Code(s[1])
+
+	if got := in.Recode(s[0], a); got != a {
+		t.Fatalf("unchanged successor: Recode = %d, want %d", got, a)
+	}
+	if got := in.Recode(s[1], a); got != b {
+		t.Fatalf("successor interned earlier: Recode = %d, want %d", got, b)
+	}
+	if in.Len() != 2 {
+		t.Fatalf("Len = %d after recoding known states, want 2", in.Len())
+	}
+	if got := in.Recode(s[2], b); got != 2 || in.Len() != 3 {
+		t.Fatalf("fresh successor: Recode = %d with Len %d, want code 2 and Len 3", got, in.Len())
+	}
+
+	g := sim.ShardViews(in, 2)
+	v := g.View(1)
+	if got := v.Recode(s[1], b); got != b {
+		t.Fatalf("view, unchanged base state: Recode = %d, want %d", got, b)
+	}
+	fresh := benchProduct{a: 7}
+	p := v.Recode(fresh, a)
+	if p == a || p < 3 {
+		t.Fatalf("view, fresh successor: Recode = %#x, want a provisional code", p)
+	}
+	if got := v.Recode(fresh, p); got != p {
+		t.Fatalf("view, unchanged provisional state: Recode = %#x, want %#x", got, p)
+	}
+	if got := v.Recode(s[0], p); got != a {
+		t.Fatalf("view, base successor of a provisional state: Recode = %d, want %d", got, a)
+	}
+	remap := g.Reconcile()
+	if len(remap) != 1 || remap[p] != 3 || in.Len() != 4 {
+		t.Fatalf("Reconcile remap %v with Len %d, want {%#x: 3} and Len 4", remap, in.Len(), p)
+	}
+}

@@ -231,8 +231,8 @@ func FuzzSpecSparseAdapters(f *testing.F) {
 // derived agent adapter must match the naive reference bit for bit,
 // its count mirror must equal the code array's histogram, and the
 // derived count form must conserve Σ counts == n with non-negative
-// counts and an exact interaction counter on the exact and batched
-// paths alike.
+// counts, a tight occupied window and an exact interaction counter on
+// the exact and batched paths alike.
 func checkSpecAdapters(t *testing.T, mkSpec func() *sim.Spec, n int, k uint64, steps int64, seed uint64) {
 	t.Helper()
 
@@ -284,6 +284,9 @@ func checkSpecAdapters(t *testing.T, mkSpec func() *sim.Spec, n int, k uint64, s
 			}
 			e.Step(batch)
 			done += batch
+			if err := sim.CheckWindow(e); err != nil {
+				t.Fatalf("%s: window after %d interactions: %v", mode.name, done, err)
+			}
 			if got := e.Counts().Sum(); got != int64(n) {
 				t.Fatalf("%s: Σ counts = %d after %d interactions, want %d", mode.name, got, done, n)
 			}

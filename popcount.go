@@ -107,11 +107,11 @@ const (
 	// and every scheduler, and is the default.
 	EngineAgent EngineKind = iota
 	// EngineCount is the count-based engine: the configuration is
-	// simulated directly on per-state agent counts, with O(|occupied
-	// states|) memory and amortized ~O(1) cost per interaction —
-	// population sizes of 10⁸ and beyond become practical. Every
-	// algorithm except TokenBag supports it (the core counting
-	// protocols' product states are interned over the occupied
+	// simulated directly on per-state agent counts, with memory in the
+	// number of states the run discovers (not n) and amortized ~O(1)
+	// cost per interaction — population sizes of 10⁸ and beyond become
+	// practical. Every algorithm except TokenBag supports it (the core
+	// counting protocols' product states are interned over the occupied
 	// fragment, see DESIGN.md), and only under the default uniform
 	// scheduler.
 	EngineCount
@@ -315,8 +315,9 @@ type Result struct {
 	// for the approximate protocols, Output itself otherwise).
 	Estimate int64
 	// Outputs holds every agent's output. It is nil on the count engine
-	// (WithEngine), whose configuration is aggregate — materializing n
-	// entries would defeat its O(states) memory footprint.
+	// (WithEngine), whose configuration is aggregate: materializing n
+	// entries would undo memory that grows with the discovered states,
+	// not with n.
 	Outputs []int64
 	// Interrupted reports that the run was stopped early by context
 	// cancellation (RunEnsemble) before reaching convergence or its
@@ -758,8 +759,9 @@ func (s *Simulation) Output(i int) int64 {
 }
 
 // Outputs returns the current outputs of all agents. It is nil on the
-// count engine, whose configuration is aggregate — materializing n
-// entries would defeat its O(|states|) memory footprint.
+// count engine, whose configuration is aggregate: its memory grows
+// with the states the run has discovered, not with n, and
+// materializing n entries would undo that.
 func (s *Simulation) Outputs() []int64 {
 	if s.ceng != nil {
 		return nil
