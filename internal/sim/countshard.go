@@ -159,7 +159,7 @@ func (blk *shardBlock) addCode(e *CountEngine, code uint64, i, j int) {
 		blk.delta.add(j, 1)
 		return
 	}
-	if idx, ok := c.index[code]; ok {
+	if idx, ok := c.find(code); ok {
 		blk.delta.add(idx, 1)
 		return
 	}

@@ -19,7 +19,10 @@
 // holds every agent — bounds what a step actually reads: while it is at
 // most scanWidth slots wide, pairs are drawn by a linear scan of it
 // instead of the Fenwick descent, and the configuration's iterators
-// visit only it.
+// visit only it. The configuration type, CountConfig, is shared with the
+// agent engine: the agent adapter keeps one, without the sampler, as the
+// count mirror of its agent array, and both engines register states and
+// change counts through the same two methods.
 //
 // Protocols that additionally implement SelfLooper get a second fast
 // path: pairs whose transition is certainly the identity ("certain
@@ -119,38 +122,38 @@ var ErrCountScheduler = errors.New("sim: count engine does not support this sche
 const MaxCountPopulation = 1 << 31
 
 // CountConfig is a population configuration: the multiset of agent
-// states, stored as counts over the occupied alphabet. It is owned and
-// mutated by a CountEngine; protocols receive it read-only in their
-// convergence predicates.
+// states, stored as counts over the discovered alphabet. A CountEngine
+// owns one and keeps a Fenwick sampler over its counts; the agent
+// adapter (SpecAgent) keeps one without a sampler as the count mirror of
+// its code array. Protocols receive it read-only in their convergence
+// predicates.
 type CountConfig struct {
 	codes  []uint64       // dense index -> state code, in discovery order
 	counts []int64        // dense index -> number of agents in the state
-	index  map[uint64]int // state code -> dense index
+	index  map[uint64]int // state code ≥ denseCodeCap -> dense index
 	n      int64
-	s      *countdist.Sampler32 // cumulative sampler over counts (total n ≤ 2³¹)
+	s      *countdist.Sampler32 // count engine only: cumulative sampler over counts (total n ≤ 2³¹)
 
 	// lo and hi bound the occupied window: [lo, hi) is the smallest
 	// range of dense indices holding every agent (lo == hi when empty).
-	// Every lasting count change goes through CountEngine.occShift,
-	// which reframes the window at zero crossings. A synchronized
-	// protocol's front moves rather than spreads, so the window trails
-	// the newest discoveries while the history behind it stays at zero.
+	// Every count change goes through add, which reframes the window at
+	// zero crossings. A synchronized protocol's front moves rather than
+	// spreads, so the window trails the newest discoveries while the
+	// history behind it stays at zero.
 	lo, hi int
 
-	// dense caches index for codes below denseCodeCap: dense[code] is
-	// index+1, zero means unregistered. Interner-backed specs emit
-	// first-sight-dense codes, so for them this turns the successor
-	// lookup on every state-changing interaction into one array load
-	// instead of a map probe. The map stays authoritative: every
-	// registration writes both, and any code ≥ denseCodeCap (raw packed
-	// state, shard-provisional tags) is served by the map alone.
+	// dense indexes codes below denseCodeCap: dense[code] is index+1,
+	// zero means unregistered. Interner-backed specs emit
+	// first-sight-dense codes, so for them every lookup is one array
+	// load. Codes ≥ denseCodeCap (raw packed states, shard-provisional
+	// tags) live in index instead, which stays nil until one appears.
 	dense []int32
 }
 
-// denseCodeCap bounds the code range the dense index cache covers —
-// 2²¹ slots is an 8 MiB worst case for a protocol whose codes are
-// small but sparse, and interned alphabets at the engine's practical
-// sizes sit far below it.
+// denseCodeCap bounds the code range the dense index covers — 2²¹ slots
+// is an 8 MiB worst case for a protocol whose codes are small but
+// sparse, and interned alphabets at the engines' practical sizes sit far
+// below it.
 const denseCodeCap = 1 << 21
 
 // N returns the population size.
@@ -159,7 +162,7 @@ func (c *CountConfig) N() int64 { return c.n }
 // Count returns the number of agents in the state with the given code
 // (zero for states never occupied).
 func (c *CountConfig) Count(code uint64) int64 {
-	if i, ok := c.index[code]; ok {
+	if i, ok := c.find(code); ok {
 		return c.counts[i]
 	}
 	return 0
@@ -196,6 +199,63 @@ func (c *CountConfig) Sum() int64 {
 		s += cnt
 	}
 	return s
+}
+
+// find returns the dense index of a registered state code. Registration
+// grows the dense index past every small code it records, so for
+// code < len(dense) its answer — including "unregistered" — is
+// definitive and the map is never probed.
+func (c *CountConfig) find(code uint64) (int, bool) {
+	if code < uint64(len(c.dense)) {
+		v := c.dense[code]
+		return int(v) - 1, v != 0
+	}
+	if code < denseCodeCap {
+		return 0, false
+	}
+	i, ok := c.index[code]
+	return i, ok
+}
+
+// slot returns the dense index of code, registering the state with a
+// zero count on first sight; fresh reports a registration.
+func (c *CountConfig) slot(code uint64) (idx int, fresh bool) {
+	if i, ok := c.find(code); ok {
+		return i, false
+	}
+	idx = len(c.codes)
+	c.codes = append(c.codes, code)
+	c.counts = append(c.counts, 0)
+	if code >= denseCodeCap {
+		if c.index == nil {
+			c.index = make(map[uint64]int)
+		}
+		c.index[code] = idx
+		return idx, true
+	}
+	if need := int(code) + 1; need > len(c.dense) {
+		if need > cap(c.dense) {
+			grown := make([]int32, need, max(2*cap(c.dense), need))
+			copy(grown, c.dense)
+			c.dense = grown
+		} else {
+			c.dense = c.dense[:need]
+		}
+	}
+	c.dense[code] = int32(idx) + 1
+	return idx, true
+}
+
+// add adjusts slot idx's count by d and reports whether it crossed
+// zero, in which case the occupied window has been reframed.
+func (c *CountConfig) add(idx int, d int64) bool {
+	was := c.counts[idx]
+	c.counts[idx] = was + d
+	if (was == 0) == (was+d == 0) {
+		return false
+	}
+	c.reframe(idx)
+	return true
 }
 
 // reframe restores the occupied window after slot idx crossed zero.
@@ -456,11 +516,7 @@ func NewCountEngine(p CountProtocol, cfg Config) (*CountEngine, error) {
 	// Map iteration order is randomized; sort so state discovery — and
 	// with it the engine's sampling stream — is deterministic per seed.
 	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	e.c = &CountConfig{
-		index: make(map[uint64]int, len(codes)),
-		n:     e.n,
-		s:     countdist.NewSampler32(len(codes)),
-	}
+	e.c = &CountConfig{n: e.n, s: countdist.NewSampler32(len(codes))}
 	for _, code := range codes {
 		e.shift(e.stateIndex(code), init[code])
 	}
@@ -591,7 +647,8 @@ func (e *CountEngine) stepRing(count int64) {
 			// Only (hi, lo) is productive.
 			qu, qv = hi, lo
 		}
-		i, j := e.c.index[qu], e.c.index[qv]
+		i, _ := e.c.find(qu)
+		j, _ := e.c.find(qv)
 		a, b := e.p.Delta(qu, qv, e.r)
 		e.apply(i, j, a, b)
 		e.stats.DeltaCalls++
@@ -854,25 +911,18 @@ func (e *CountEngine) shift(idx int, d int64) {
 	e.rowW.Add(idx, c.counts[idx]*e.elig(idx))
 }
 
-// occShift applies the count change and, at zero crossings, reframes
-// the occupied window and keeps the sorted occupied list in step.
-// Occupied alphabets are small (the moving front of a synchronized
-// protocol), so the O(occupied) splice on a crossing is cheaper than
-// any tree would be. A crossing only marks the batch planner's slot
-// matrix dirty; the planner resyncs it when it next plans.
+// occShift applies the count change and, at zero crossings, keeps the
+// sorted occupied list in step. Occupied alphabets are small (the moving
+// front of a synchronized protocol), so the O(occupied) splice on a
+// crossing is cheaper than any tree would be. A crossing only marks the
+// batch planner's slot matrix dirty; the planner resyncs it when it next
+// plans.
 func (e *CountEngine) occShift(idx int, d int64) {
-	c := e.c
-	was := c.counts[idx]
-	c.counts[idx] = was + d
-	if (was == 0) == (c.counts[idx] == 0) {
-		return
-	}
-	c.reframe(idx)
-	if !e.trackOcc {
+	if !e.c.add(idx, d) || !e.trackOcc {
 		return
 	}
 	i := sort.SearchInts(e.occ, idx)
-	if was == 0 {
+	if e.c.counts[idx] > 0 {
 		e.occ = append(e.occ, 0)
 		copy(e.occ[i+1:], e.occ[i:])
 		e.occ[i] = idx
@@ -885,40 +935,15 @@ func (e *CountEngine) occShift(idx int, d int64) {
 }
 
 // stateIndex returns the dense index for a state code, registering the
-// state on first sight.
+// state on first sight and growing the sampler and no-op relation with
+// it.
 func (e *CountEngine) stateIndex(code uint64) int {
-	c := e.c
-	// Registration grows the dense cache past every small code it
-	// records, so for code < len(dense) the cache's answer — including
-	// "unregistered" — is definitive and the map is never probed.
-	if code < uint64(len(c.dense)) {
-		if v := c.dense[code]; v != 0 {
-			return int(v) - 1
+	idx, fresh := e.c.slot(code)
+	if fresh {
+		e.c.s.Append(0)
+		if e.sl != nil {
+			e.extendNoop(code, idx)
 		}
-	} else if code >= denseCodeCap {
-		if i, ok := c.index[code]; ok {
-			return i
-		}
-	}
-	idx := len(c.codes)
-	c.codes = append(c.codes, code)
-	c.counts = append(c.counts, 0)
-	c.index[code] = idx
-	if code < denseCodeCap {
-		if need := int(code) + 1; need > len(c.dense) {
-			if need > cap(c.dense) {
-				grown := make([]int32, need, max(2*cap(c.dense), need))
-				copy(grown, c.dense)
-				c.dense = grown
-			} else {
-				c.dense = c.dense[:need]
-			}
-		}
-		c.dense[code] = int32(idx) + 1
-	}
-	c.s.Append(0)
-	if e.sl != nil {
-		e.extendNoop(code, idx)
 	}
 	return idx
 }

@@ -244,3 +244,22 @@ func BenchmarkCountStep(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/interaction")
 }
+
+// BenchmarkAgentStep is BenchmarkCountStep on the agent engine: each
+// iteration builds a fresh CountExact n = 2¹¹ agent engine at seed 1 and
+// steps it 3·2²⁰ interactions — the pair draw, the memoized interned
+// rule and the count mirror. Skipped under -short.
+func BenchmarkAgentStep(b *testing.B) {
+	if testing.Short() {
+		b.Skip("whole-run benchmark")
+	}
+	const steps = 3 << 20
+	for i := 0; i < b.N; i++ {
+		e, err := sim.NewEngine(sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: 1 << 11}).Spec), sim.Config{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Step(steps)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/interaction")
+}

@@ -10,6 +10,9 @@ func CheckSlotMatrix(e *CountEngine) error { return e.checkSlotMatrix() }
 // CheckWindow runs checkWindow on e's configuration.
 func CheckWindow(e *CountEngine) error { return e.c.checkWindow() }
 
+// CheckMirror runs checkMirror on p.
+func CheckMirror(p *SpecAgent) error { return p.checkMirror() }
+
 // PlanTau runs one serial pre-leap τ-sizing pass.
 func PlanTau(e *CountEngine) (int64, bool) { return e.planTau() }
 
@@ -82,4 +85,34 @@ func (c *CountConfig) checkWindow() error {
 		return fmt.Errorf("window [%d, %d) ends on an empty slot (counts %d, %d)", c.lo, c.hi, c.counts[c.lo], c.counts[c.hi-1])
 	}
 	return nil
+}
+
+// checkMirror verifies the agent adapter's count mirror against a
+// recount of the code array: every registered state is found at its own
+// slot and holds exactly the agents in it, every agent's state is
+// registered, and the occupied window is tight. It returns nil before a
+// sampler spec's one-shot initialization has run.
+func (p *SpecAgent) checkMirror() error {
+	if p.code == nil {
+		return nil
+	}
+	hist := make(map[uint64]int64)
+	for _, code := range p.code {
+		hist[code]++
+	}
+	c := &p.view
+	for i, code := range c.codes {
+		if j, ok := c.find(code); !ok || j != i {
+			return fmt.Errorf("state %#x registered at slot %d, found at %d (%v)", code, i, j, ok)
+		}
+		if c.counts[i] != hist[code] {
+			return fmt.Errorf("mirror holds %d agents in state %#x, the code array %d", c.counts[i], code, hist[code])
+		}
+	}
+	for code, cnt := range hist {
+		if got := c.Count(code); got != cnt {
+			return fmt.Errorf("mirror counts %d agents in state %#x, the code array %d", got, code, cnt)
+		}
+	}
+	return c.checkWindow()
 }

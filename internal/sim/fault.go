@@ -501,8 +501,9 @@ func (fs *faultState) targetDraw(spec *Spec, occupied []uint64, ev faultEvent) f
 // first-occurrence order over the agent array. Array order — not code
 // magnitude — keeps the draw stable across snapshot/restore renaming.
 func (p *SpecAgent) occupiedCodes() []uint64 {
-	seen := make(map[uint64]bool, len(p.view.counts))
-	out := make([]uint64, 0, len(p.view.counts))
+	k := p.view.States()
+	seen := make(map[uint64]bool, k)
+	out := make([]uint64, 0, k)
 	for _, c := range p.code {
 		if !seen[c] {
 			seen[c] = true
@@ -516,7 +517,7 @@ func (p *SpecAgent) occupiedCodes() []uint64 {
 // given state, excluding index excl (-1 for none), or -1 if no such
 // agent exists.
 func (p *SpecAgent) findAgent(code uint64, excl int, fr *rng.Rand) int {
-	cnt := p.view.counts[code]
+	cnt := p.view.Count(code)
 	if excl >= 0 && p.code[excl] == code {
 		cnt--
 	}
@@ -541,7 +542,7 @@ func (p *SpecAgent) pluralityCode() uint64 {
 	var best uint64
 	bestCnt := int64(-1)
 	for _, c := range p.code {
-		if cnt := p.view.counts[c]; cnt > bestCnt {
+		if cnt := p.view.Count(c); cnt > bestCnt {
 			bestCnt, best = cnt, c
 		}
 	}
@@ -720,8 +721,8 @@ func (e *CountEngine) forceCountInteraction() bool {
 	case AdversaryStaleReplay:
 		forced := false
 		if fs.staleSet {
-			iu, okU := c.index[fs.staleU]
-			iv, okV := c.index[fs.staleV]
+			iu, okU := c.find(fs.staleU)
+			iv, okV := c.find(fs.staleV)
 			if okU && okV {
 				alive := (iu != iv && c.counts[iu] > 0 && c.counts[iv] > 0) ||
 					(iu == iv && c.counts[iu] >= 2)

@@ -130,6 +130,19 @@ var goldenPins = map[string]goldenPin{
 	},
 }
 
+// goldenFaults is the fault plan of the pinned faulted runs: two
+// bursts, random corruption and churn.
+func goldenFaults() *sim.FaultPlan {
+	return &sim.FaultPlan{
+		Seed:          5,
+		Bursts:        []sim.FaultBurst{{At: 1 << 19, Agents: 64}, {At: 3 << 19, Agents: 16, Random: true}},
+		CorruptRate:   0.1,
+		CorruptAgents: 2,
+		CorruptRandom: true,
+		ChurnRate:     0.1,
+	}
+}
+
 // TestBatchPlannerGoldenCounters pins the count engine's trajectories
 // — unbatched, and through the batch planners serial (Shards 1) and
 // sharded (Shards 2) — on Approximate, on CountExact with an epoch cap
@@ -147,14 +160,7 @@ func TestBatchPlannerGoldenCounters(t *testing.T) {
 	exact := func(n int) func() sim.CountProtocol {
 		return func() sim.CountProtocol { return sim.NewSpecCount(core.NewCountExactSpec(core.Config{N: n}).Spec) }
 	}
-	faults := &sim.FaultPlan{
-		Seed:          5,
-		Bursts:        []sim.FaultBurst{{At: 1 << 19, Agents: 64}, {At: 3 << 19, Agents: 16, Random: true}},
-		CorruptRate:   0.1,
-		CorruptAgents: 2,
-		CorruptRandom: true,
-		ChurnRate:     0.1,
-	}
+	faults := goldenFaults()
 	cases := []struct {
 		name  string
 		proto func() sim.CountProtocol
@@ -228,5 +234,97 @@ func TestBatchPlannerGoldenCounters(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// agentPin is what one pinned agent-engine run must reproduce: its
+// interaction count and a digest of the final code array.
+type agentPin struct {
+	interactions int64
+	digest       uint64
+}
+
+// codeDigest hashes the agent array's codes in agent order.
+func codeDigest(p *sim.SpecAgent) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := 0; i < p.N(); i++ {
+		binary.LittleEndian.PutUint64(buf[:], p.Code(i))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// agentPins are agent-engine trajectories recorded with the map-backed
+// count mirror and a memo without its window. The mirror is read by the
+// convergence poll and by the fault plane's victim and plurality
+// draws, and the window answers resolutions the table answered before,
+// so every trajectory must reproduce them bit for bit.
+var agentPins = map[string]agentPin{
+	"exact-2048-converged":     {4917248, 0xb0822ac2ec5c0603},
+	"approximate-4096":         {4194304, 0x76c2a7653a36b816},
+	"approximate-4096-faulted": {2097152, 0x20d68eeb00d5add4},
+	"approximate-4096-replay":  {2097152, 0x68ca7b8158927e80},
+	"approximate-4096-bias":    {2097152, 0x9cefb3974d5a3c5d},
+}
+
+// TestAgentGoldenPins pins the agent engine on CountExact n = 2¹¹ run
+// to convergence, on Approximate n = 2¹² and on the faulted Approximate
+// run of TestBatchPlannerGoldenCounters, alone and with each adversary
+// that picks its agents through the mirror (stale replay and initiator
+// bias). It checks the count mirror against the code array after every
+// poll, and after every eighth of a stepped run.
+func TestAgentGoldenPins(t *testing.T) {
+	exact := func() *sim.Spec { return core.NewCountExactSpec(core.Config{N: 1 << 11}).Spec }
+	approx := func() *sim.Spec { return core.NewApproximateSpec(core.Config{N: 1 << 12}).Spec }
+	adversary := func(kind sim.AdversaryKind) *sim.FaultPlan {
+		plan := goldenFaults()
+		plan.Adversary, plan.AdversaryRate = kind, 0.5
+		return plan
+	}
+	cases := []struct {
+		name  string
+		spec  func() *sim.Spec
+		cfg   sim.Config
+		steps int64 // zero: run to convergence
+	}{
+		{"exact-2048-converged", exact, sim.Config{Seed: 1}, 0},
+		{"approximate-4096", approx, sim.Config{Seed: 1}, 1 << 22},
+		{"approximate-4096-faulted", approx, sim.Config{Seed: 4, Faults: goldenFaults()}, 1 << 21},
+		{"approximate-4096-replay", approx, sim.Config{Seed: 4, Faults: adversary(sim.AdversaryStaleReplay)}, 1 << 21},
+		{"approximate-4096-bias", approx, sim.Config{Seed: 4, Faults: adversary(sim.AdversaryInitiatorBias)}, 1 << 21},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := sim.NewSpecAgent(tc.spec())
+			check := func(done int64) {
+				if err := sim.CheckMirror(p); err != nil {
+					t.Fatalf("after %d interactions: %v", done, err)
+				}
+			}
+			cfg := tc.cfg
+			if tc.steps == 0 {
+				cfg.Observe = func(obs sim.Observation) { check(obs.Interactions) }
+			}
+			e, err := sim.NewEngine(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.steps == 0 {
+				if res, err := e.RunToConvergence(); err != nil || !res.Converged {
+					t.Fatalf("run to convergence: %+v, %v", res, err)
+				}
+			}
+			chunk := tc.steps / 8
+			for done := int64(0); done < tc.steps; done += chunk {
+				e.Step(chunk)
+				check(done + chunk)
+			}
+			got := agentPin{e.Interactions(), codeDigest(p)}
+			if want := agentPins[tc.name]; got != want {
+				t.Fatalf("trajectory drifted: got %d interactions, digest %#x; want %d, %#x",
+					got.interactions, got.digest, want.interactions, want.digest)
+			}
+		})
 	}
 }

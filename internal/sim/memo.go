@@ -10,10 +10,11 @@
 // later resolution is a repeat. A DeltaMemo caches that deterministic
 // fragment keyed by the packed code pair, turning the hot path into an
 // open-addressed integer-table probe — no struct hashing, no rule
-// evaluation — and promotes the discovered fragment into a flat dense
-// table (the same representation the SpecAgent precompile builds up
-// front for declared-domain specs) once the occupied code range
-// stabilizes.
+// evaluation. In front of the probe sits a small direct-mapped window
+// of recently used resolved pairs: the states a synchronized protocol
+// occupies at once are a narrow band of codes at its moving front, so
+// most repeats hit the window without touching the table, which for
+// CountExact's Õ(n) alphabet outgrows the L2 cache.
 //
 // Correctness hinges on three invariants, each load-bearing for the
 // engines' bit-for-bit determinism contract:
@@ -73,20 +74,18 @@ const (
 	memoCodeBound uint64 = 1 << 31
 )
 
-// Flat-promotion tuning: every memoPromoteStride memoized resolutions
-// the memo checks whether the occupied code range has stabilized since
-// the previous check, and if so (and the range is small enough) copies
-// the resolved deterministic entries into a dense width×width table —
-// one bounds check and one slice index per repeat resolution, the same
-// endgame as the SpecAgent precompile but over the fragment the
-// trajectory actually discovered. Pairs first resolved after a
-// promotion stay on the probe path until the range grows and triggers a
-// rebuild; the flat table is never stale, merely incomplete, because
-// entries are immutable facts about the rule.
+// memoInitialTableCap is the probe table's starting capacity.
+const memoInitialTableCap = 1 << 8
+
+// The window is a memoWinSide × memoWinSide direct-mapped table of
+// resolved deterministic entries: pair (qu, qv) lives in cell
+// (qu mod memoWinSide)·memoWinSide + qv mod memoWinSide, tagged with the
+// full key, so pairs whose codes lie within any memoWinSide-wide range
+// never evict each other. At 16 bytes a cell it is 64 KiB, L2-resident.
 const (
-	memoPromoteStride   = 1 << 15
-	memoFlatMaxWidth    = 1 << 10 // 2²⁰ entries, 8 MiB ceiling
-	memoInitialTableCap = 1 << 8
+	memoWinBits = 6
+	memoWinSide = 1 << memoWinBits
+	memoWinMask = memoWinSide - 1
 )
 
 // DeltaMemo caches the deterministic fragment of a transition function
@@ -108,15 +107,13 @@ type DeltaMemo struct {
 	mask uint64
 	used int
 
-	// Flat promoted fragment: fw×fw packed det entries (memoUnknown
-	// where the pair is randomized, unresolved, or resolved after the
-	// build). fw == 0 until the first promotion.
-	flat []uint64
-	fw   uint64
-
-	width     uint64 // 1 + highest code stored in the table
-	lastWidth uint64 // width at the previous promotion check
-	tick      int    // resolutions until the next promotion check
+	// win is the direct-mapped window in front of the table (see
+	// memoWinBits): each cell holds a resolved deterministic entry
+	// under the tag memoDetBit|key, which is never zero, so an empty
+	// cell matches nothing. Entries are immutable facts about the rule,
+	// so an evicted pair just goes back to the table. Nil until the
+	// first resolution.
+	win []memoEnt
 }
 
 // NewDeltaMemo wraps the deterministic fragment of delta in a
@@ -136,7 +133,6 @@ func NewDeltaMemo(
 		rand:  randomized,
 		ents:  make([]memoEnt, memoInitialTableCap),
 		mask:  memoInitialTableCap - 1,
-		tick:  memoPromoteStride,
 	}
 }
 
@@ -164,7 +160,7 @@ func (m *DeltaMemo) probe(key uint64) uint64 {
 }
 
 // store inserts or overwrites the pair's entry, growing the table as
-// needed and tracking the occupied code range for flat promotion.
+// needed.
 func (m *DeltaMemo) store(qu, qv, val uint64) {
 	if 4*(m.used+1) > 3*len(m.ents) {
 		m.grow()
@@ -176,12 +172,6 @@ func (m *DeltaMemo) store(qu, qv, val uint64) {
 		m.used++
 	}
 	m.ents[i].val = val
-	if qu >= m.width {
-		m.width = qu + 1
-	}
-	if qv >= m.width {
-		m.width = qv + 1
-	}
 }
 
 func (m *DeltaMemo) grow() {
@@ -196,26 +186,27 @@ func (m *DeltaMemo) grow() {
 	}
 }
 
-// promoteCheck rebuilds the flat fragment when the occupied code range
-// held still across one full stride — the "occupied set stabilizes"
-// trigger — and the range fits the size ceiling.
-func (m *DeltaMemo) promoteCheck() {
-	m.tick = memoPromoteStride
-	w := m.width
-	if w == m.lastWidth && w > m.fw && w <= memoFlatMaxWidth {
-		flat := make([]uint64, w*w)
-		for _, e := range m.ents {
-			if e.val&memoDetBit == 0 {
-				continue
-			}
-			qu, qv := e.key>>32, e.key&(1<<32-1)
-			if qu < w && qv < w {
-				flat[qu*w+qv] = e.val
-			}
-		}
-		m.flat, m.fw = flat, w
+// winCell returns the pair's window cell.
+func winCell(qu, qv uint64) uint64 {
+	return (qu&memoWinMask)<<memoWinBits | qv&memoWinMask
+}
+
+// resolve runs the closure on a deterministic pair's first resolution
+// and stores the successors: packed into the table and the window, or
+// marked wide when they do not pack.
+func (m *DeltaMemo) resolve(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
+	a, b := m.delta(qu, qv, r)
+	if (a | b) >= memoCodeBound {
+		m.store(qu, qv, memoWide)
+		return a, b
 	}
-	m.lastWidth = w
+	e := memoDetBit | a<<31 | b
+	m.store(qu, qv, e)
+	if m.win == nil {
+		m.win = make([]memoEnt, memoWinSide*memoWinSide)
+	}
+	m.win[winCell(qu, qv)] = memoEnt{memoDetBit | qu<<32 | qv, e}
+	return a, b
 }
 
 // Delta resolves the pair through the memo: cached deterministic pairs
@@ -224,20 +215,19 @@ func (m *DeltaMemo) promoteCheck() {
 // closure. Bit-for-bit equivalent to the raw closure in outputs,
 // interner side effects, and generator consumption.
 func (m *DeltaMemo) Delta(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
-	if (qu | qv) < m.fw {
-		if e := m.flat[qu*m.fw+qv]; e&memoDetBit != 0 {
-			return e >> 31 & (memoCodeBound - 1), e & (memoCodeBound - 1)
-		}
-	}
 	if (qu | qv) >= memoCodeBound {
 		return m.delta(qu, qv, r)
 	}
-	if m.tick--; m.tick <= 0 {
-		m.promoteCheck()
+	key := qu<<32 | qv
+	c := winCell(qu, qv)
+	if c < uint64(len(m.win)) && m.win[c].key == memoDetBit|key {
+		e := m.win[c].val
+		return e >> 31 & (memoCodeBound - 1), e & (memoCodeBound - 1)
 	}
-	i := m.probe(qu<<32 | qv)
+	i := m.probe(key)
 	switch e := m.ents[i].val; {
 	case e&memoDetBit != 0:
+		m.win[c] = memoEnt{memoDetBit | key, e}
 		return e >> 31 & (memoCodeBound - 1), e & (memoCodeBound - 1)
 	case e == memoRand || e == memoWide:
 		return m.delta(qu, qv, r)
@@ -248,13 +238,7 @@ func (m *DeltaMemo) Delta(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 	// First resolution of a deterministic pair (unknown or pending):
 	// run the closure — interning fresh successors exactly as the
 	// unmemoized spec would at this point — and cache the code pair.
-	a, b := m.delta(qu, qv, r)
-	if (a | b) < memoCodeBound {
-		m.store(qu, qv, memoDetBit|a<<31|b)
-	} else {
-		m.store(qu, qv, memoWide)
-	}
-	return a, b
+	return m.resolve(qu, qv, r)
 }
 
 // Randomized reports the memoized claim predicate. A deterministic
@@ -284,11 +268,6 @@ func (m *DeltaMemo) Randomized(qu, qv uint64) bool {
 // shape — one probe answers both the classification and the successor
 // pair, replacing the adapter's separate Randomized + Delta(nil) calls.
 func (m *DeltaMemo) DeltaDet(qu, qv uint64) (uint64, uint64, bool) {
-	if (qu | qv) < m.fw {
-		if e := m.flat[qu*m.fw+qv]; e&memoDetBit != 0 {
-			return e >> 31 & (memoCodeBound - 1), e & (memoCodeBound - 1), true
-		}
-	}
 	if (qu | qv) >= memoCodeBound {
 		if m.rand(qu, qv) {
 			return 0, 0, false
@@ -296,9 +275,16 @@ func (m *DeltaMemo) DeltaDet(qu, qv uint64) (uint64, uint64, bool) {
 		a, b := m.delta(qu, qv, nil)
 		return a, b, true
 	}
-	i := m.probe(qu<<32 | qv)
+	key := qu<<32 | qv
+	c := winCell(qu, qv)
+	if c < uint64(len(m.win)) && m.win[c].key == memoDetBit|key {
+		e := m.win[c].val
+		return e >> 31 & (memoCodeBound - 1), e & (memoCodeBound - 1), true
+	}
+	i := m.probe(key)
 	switch e := m.ents[i].val; {
 	case e&memoDetBit != 0:
+		m.win[c] = memoEnt{memoDetBit | key, e}
 		return e >> 31 & (memoCodeBound - 1), e & (memoCodeBound - 1), true
 	case e == memoRand:
 		return 0, 0, false
@@ -309,18 +295,10 @@ func (m *DeltaMemo) DeltaDet(qu, qv uint64) (uint64, uint64, bool) {
 		m.store(qu, qv, memoRand)
 		return 0, 0, false
 	}
-	a, b := m.delta(qu, qv, nil)
-	if (a | b) < memoCodeBound {
-		m.store(qu, qv, memoDetBit|a<<31|b)
-	} else {
-		m.store(qu, qv, memoWide)
-	}
+	a, b := m.resolve(qu, qv, nil)
 	return a, b, true
 }
 
 // Pairs returns the number of code pairs the memo has classified or
 // resolved — the discovered fragment's size.
 func (m *DeltaMemo) Pairs() int { return m.used }
-
-// Promoted reports whether the memo has built its flat dense fragment.
-func (m *DeltaMemo) Promoted() bool { return m.fw > 0 }

@@ -131,32 +131,70 @@ func TestDeltaMemoWideSuccessors(t *testing.T) {
 	}
 }
 
-// TestDeltaMemoFlatPromotion drives enough repeat resolutions over a
-// small stable code range to trigger the dense-fragment promotion and
-// checks the flat path returns the same successors as before.
-func TestDeltaMemoFlatPromotion(t *testing.T) {
-	const k = 4
+// TestDeltaMemoWindow drives the direct-mapped window in front of the
+// probe table. Initiators 5, 69 and 133 and responders 9, 73 and 137
+// agree mod 64, so all nine pairs share one window cell: alternating
+// them evicts and refills it on every call, through Delta and DeltaDet
+// alike. Every answer must equal the closure's, and each deterministic
+// pair must reach the closure exactly once. Randomized pairs in the
+// same cell call through every time, as do a pair with wide successors
+// and a shard-provisional initiator — whose key, with its tag bit
+// shifted out, would alias (5, 9) if it reached the window.
+func TestDeltaMemoWindow(t *testing.T) {
+	const wideCode = 197 // 197 mod 64 = 5: the same window row
+	wide := uint64(1) << 40
+	closure := func(qu, qv uint64) (uint64, uint64) {
+		if qu == wideCode {
+			return wide, qv
+		}
+		return qv + 1, qu + 2
+	}
+	calls := make(map[[2]uint64]int)
 	m := sim.NewDeltaMemo(func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
-		return qv % k, qu % k
-	}, nil)
-	for i := 0; i < 1<<17; i++ {
-		qu, qv := uint64(i)%k, uint64(i/int(k))%k
-		if a, b := m.Delta(qu, qv, nil); a != qv || b != qu {
-			t.Fatalf("Delta(%d,%d) = (%d,%d), want (%d,%d)", qu, qv, a, b, qv, qu)
+		calls[[2]uint64{qu, qv}]++
+		return closure(qu, qv)
+	}, func(qu, qv uint64) bool { return qv == 10 })
+	provisional := uint64(1)<<63 | 5
+	det := [][2]uint64{}
+	for _, qu := range []uint64{5, 69, 133} {
+		for _, qv := range []uint64{9, 73, 137} {
+			det = append(det, [2]uint64{qu, qv})
 		}
 	}
-	if !m.Promoted() {
-		t.Fatal("stable 4-code fragment never promoted to the flat table")
-	}
-	for qu := uint64(0); qu < k; qu++ {
-		for qv := uint64(0); qv < k; qv++ {
-			if a, b := m.Delta(qu, qv, nil); a != qv || b != qu {
-				t.Fatalf("flat Delta(%d,%d) = (%d,%d)", qu, qv, a, b)
+	through := [][2]uint64{{5, 10}, {69, 10}, {wideCode, 9}, {provisional, 9}}
+	const rounds = 20
+	for round := 0; round < rounds; round++ {
+		for k, pr := range append(det, through...) {
+			qu, qv := pr[0], pr[1]
+			wa, wb := closure(qu, qv)
+			if (round+k)%2 == 0 || qv == 10 {
+				if a, b := m.Delta(qu, qv, rng.New(1)); a != wa || b != wb {
+					t.Fatalf("round %d: Delta(%#x, %d) = (%#x, %#x), want (%#x, %#x)", round, qu, qv, a, b, wa, wb)
+				}
+				continue
 			}
-			if a, b, ok := m.DeltaDet(qu, qv); !ok || a != qv || b != qu {
-				t.Fatalf("flat DeltaDet(%d,%d) = (%d,%d,%v)", qu, qv, a, b, ok)
+			if a, b, ok := m.DeltaDet(qu, qv); !ok || a != wa || b != wb {
+				t.Fatalf("round %d: DeltaDet(%#x, %d) = (%#x, %#x, %v), want (%#x, %#x, true)", round, qu, qv, a, b, ok, wa, wb)
 			}
 		}
+	}
+	for _, pr := range det {
+		if c := calls[pr]; c != 1 {
+			t.Fatalf("deterministic pair %v reached the closure %d times, want 1", pr, c)
+		}
+	}
+	for _, pr := range through {
+		if c := calls[pr]; c != rounds {
+			t.Fatalf("pair (%#x, %d) reached the closure %d times, want %d", pr[0], pr[1], c, rounds)
+		}
+	}
+	if _, _, ok := m.DeltaDet(5, 10); ok {
+		t.Fatal("DeltaDet on a randomized pair reported deterministic")
+	}
+	// The nine window pairs, two randomized ones and the wide one; the
+	// provisional pair is never stored.
+	if got, want := m.Pairs(), len(det)+3; got != want {
+		t.Fatalf("Pairs() = %d, want %d", got, want)
 	}
 }
 
@@ -201,7 +239,20 @@ func internedFuzzSpec(n int, k uint64, raw []byte, flags uint8) (*sim.Spec, *sim
 	}
 	enc := func(q uint64) fuzzProduct { return fuzzProduct{q: q, salt: q * scatterMul} }
 
+	// Filler states interned ahead of each initially occupied state
+	// space its code 32 or 64 past the previous one, so the codes the
+	// rule reaches straddle several 64-code windows and share residues
+	// mod 64: the memo's window cells collide and evict. A state the
+	// initial configuration leaves empty is interned later, on first
+	// sight.
 	in := sim.NewInterner[fuzzProduct]()
+	filler := uint64(0)
+	fill := func(q uint64) {
+		for i := 31 + 32*int(at(3*size+int(q))&1); i > 0; i-- {
+			in.Code(fuzzProduct{q: k + filler})
+			filler++
+		}
+	}
 	counts := make(map[uint64]int64, k)
 	per := int64(n) / int64(k)
 	rem := int64(n) - per*int64(k)
@@ -211,6 +262,7 @@ func internedFuzzSpec(n int, k uint64, raw []byte, flags uint8) (*sim.Spec, *sim
 			c += rem
 		}
 		if c > 0 {
+			fill(q)
 			counts[in.Code(enc(q))] = c
 		}
 	}

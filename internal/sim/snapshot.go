@@ -225,8 +225,11 @@ func (p *specCount) DecodeState(b []byte) (uint64, error) {
 // SnapshotState implements ProtocolSnapshotter for the agent form: the
 // per-agent code array, stored as a dictionary of distinct portable
 // state encodings (in first-occurrence order over the agent array) plus
-// one dictionary index per agent. The count mirror is derived state and
-// is rebuilt on restore.
+// one dictionary index per agent. The count mirror is derived state:
+// restore recounts it from the array, registering states in
+// first-occurrence order, so its slots may be ordered differently from
+// the snapshotted run's. Nothing reads that order — the agent engine
+// draws agents, not slots, and every ForEach consumer is order-free.
 func (p *SpecAgent) SnapshotState() ([]byte, error) {
 	if p.code == nil {
 		return nil, fmt.Errorf("%w: Spec %q agent form not yet initialized", ErrNotSnapshottable, p.spec.Name)
@@ -235,8 +238,9 @@ func (p *SpecAgent) SnapshotState() ([]byte, error) {
 	if enc == nil {
 		enc = identityEncode
 	}
-	dictIdx := make(map[uint64]uint32, len(p.view.counts))
-	dict := make([]uint64, 0, len(p.view.counts))
+	k := p.view.States()
+	dictIdx := make(map[uint64]uint32, k)
+	dict := make([]uint64, 0, k)
 	idxs := make([]uint32, len(p.code))
 	for i, c := range p.code {
 		di, ok := dictIdx[c]
@@ -261,7 +265,7 @@ func (p *SpecAgent) SnapshotState() ([]byte, error) {
 
 // RestoreState implements ProtocolSnapshotter for the agent form,
 // decoding the dictionary in stored order (so interned specs re-intern
-// states deterministically) and rebuilding the count mirror.
+// states deterministically) and recounting the count mirror.
 func (p *SpecAgent) RestoreState(b []byte) error {
 	dec := p.spec.DecodeState
 	if dec == nil {
@@ -309,10 +313,7 @@ func (p *SpecAgent) RestoreState(b []byte) error {
 		return err
 	}
 	p.code = code
-	p.view.counts = make(map[uint64]int64, len(dict))
-	for _, c := range code {
-		p.view.counts[c]++
-	}
+	p.recount()
 	return nil
 }
 
@@ -601,11 +602,7 @@ func (e *CountEngine) Restore(data []byte) error {
 	// Rebuild the engine's derived structures from scratch and replay
 	// state discovery in snapshot order, so dense indices — and with
 	// them every sampling decision — line up with the snapshotted run.
-	e.c = &CountConfig{
-		index: make(map[uint64]int, len(states)),
-		n:     e.n,
-		s:     countdist.NewSampler32(len(states)),
-	}
+	e.c = &CountConfig{n: e.n, s: countdist.NewSampler32(len(states))}
 	e.occ = nil
 	if e.sl != nil {
 		e.rowW = countdist.NewSampler(len(states))

@@ -17,10 +17,11 @@
 // mechanically:
 //
 //   - NewSpecAgent builds the agent form: an array of state codes driven
-//     by the spec's Delta, with a count mirror over the occupied alphabet
-//     so the configuration-level convergence predicate needs no O(n)
-//     scan. It implements Protocol, BatchInteractor, Converger and
-//     Outputter.
+//     by the spec's Delta, with a count mirror — a CountConfig without
+//     a sampler, repaired as agents move — so the configuration-level
+//     convergence predicate scans the mirror's occupied window instead
+//     of n agents. It implements Protocol, BatchInteractor, Converger
+//     and Outputter.
 //   - NewSpecCount builds the count form: a CountProtocol (plus
 //     CountConverger, CountOutputter, DeterministicDelta, and — when the
 //     spec opts in — SelfLooper) whose methods are direct projections of
@@ -47,9 +48,9 @@ import (
 
 // ConfigView is a read-only view of a population configuration — the
 // multiset of agent states as counts over the occupied alphabet. The
-// count engine's CountConfig implements it, as does the agent adapter's
-// count mirror, so one configuration-level convergence predicate serves
-// every engine form.
+// count engine's CountConfig implements it, and the agent adapter's
+// count mirror is a CountConfig too, so one configuration-level
+// convergence predicate serves every engine form.
 type ConfigView interface {
 	// N returns the population size.
 	N() int64
@@ -300,27 +301,6 @@ type InitSampler interface {
 	SampleInit(r *rng.Rand)
 }
 
-// specMirror is the agent adapter's count mirror: the occupied-alphabet
-// histogram of the code array, maintained incrementally so that the
-// configuration-level convergence predicate is O(occupied states) per
-// poll instead of O(n).
-type specMirror struct {
-	n      int64
-	counts map[uint64]int64
-}
-
-func (m *specMirror) N() int64 { return m.n }
-
-func (m *specMirror) Count(code uint64) int64 { return m.counts[code] }
-
-func (m *specMirror) ForEach(f func(code uint64, count int64)) {
-	for code, cnt := range m.counts {
-		if cnt > 0 {
-			f(code, cnt)
-		}
-	}
-}
-
 // SpecAgent is the agent-array form derived from a Spec: an array of
 // state codes plus the spec's transition function, replacing the
 // hand-written Interact/InteractBatch bodies of pre-spec protocols. It
@@ -329,7 +309,12 @@ func (m *specMirror) ForEach(f func(code uint64, count int64)) {
 type SpecAgent struct {
 	spec *Spec
 	code []uint64 // nil until the one-shot init sampler has run
-	view specMirror
+
+	// view is the count mirror: the code array's histogram, kept by
+	// move as agents change state, so the configuration-level
+	// predicates scan its occupied window instead of n agents. It has
+	// no sampler — the agent engine draws agents, not states.
+	view CountConfig
 
 	// Flat successor table for dense small-alphabet specs (see
 	// precompile): succ[qu·dom+qv] holds the packed successor pair
@@ -359,7 +344,7 @@ func NewSpecAgent(spec *Spec) *SpecAgent {
 	if err := spec.validate(); err != nil {
 		panic(err)
 	}
-	p := &SpecAgent{spec: spec, view: specMirror{n: int64(spec.N)}}
+	p := &SpecAgent{spec: spec, view: CountConfig{n: int64(spec.N)}}
 	p.precompile()
 	if spec.InitSample == nil {
 		p.materialize(nil)
@@ -422,34 +407,31 @@ func (p *SpecAgent) materialize(r *rng.Rand) {
 			panic(fmt.Sprintf("sim: Spec %q Layout has %d agents, want %d", spec.Name, len(layout), spec.N))
 		}
 		p.code = append([]uint64(nil), layout...)
-		p.view.counts = make(map[uint64]int64)
-		for _, c := range p.code {
-			p.view.counts[c]++
-		}
+		p.recount()
 		// The layout must be a permutation of the Init configuration:
 		// the count form starts from Init, so a mismatch would make the
 		// two engine forms of one spec simulate different initial
 		// configurations.
 		init := spec.Init()
-		if len(init) != len(p.view.counts) {
-			panic(fmt.Sprintf("sim: Spec %q Layout occupies %d states, Init %d", spec.Name, len(p.view.counts), len(init)))
+		if k := p.view.States(); len(init) != k {
+			panic(fmt.Sprintf("sim: Spec %q Layout occupies %d states, Init %d", spec.Name, k, len(init)))
 		}
 		for code, cnt := range init {
-			if p.view.counts[code] != cnt {
-				panic(fmt.Sprintf("sim: Spec %q Layout has %d agents in state %#x, Init %d", spec.Name, p.view.counts[code], code, cnt))
+			if got := p.view.Count(code); got != cnt {
+				panic(fmt.Sprintf("sim: Spec %q Layout has %d agents in state %#x, Init %d", spec.Name, got, code, cnt))
 			}
 		}
 		return
 	}
 	init := spec.initCounts(r)
 	p.code = make([]uint64, 0, spec.N)
-	p.view.counts = make(map[uint64]int64, len(init))
 	for _, code := range sortedCodes(init) {
 		cnt := init[code]
 		if cnt <= 0 {
 			panic(fmt.Sprintf("sim: Spec %q initial count %d for state %#x", spec.Name, cnt, code))
 		}
-		p.view.counts[code] = cnt
+		idx, _ := p.view.slot(code)
+		p.view.add(idx, cnt)
 		for i := int64(0); i < cnt; i++ {
 			p.code = append(p.code, code)
 		}
@@ -458,6 +440,16 @@ func (p *SpecAgent) materialize(r *rng.Rand) {
 		panic(fmt.Sprintf("sim: Spec %q initial counts sum to %d, want n=%d", spec.Name, len(p.code), spec.N))
 	}
 	p.shuffle(r)
+}
+
+// recount rebuilds the count mirror from the code array, registering
+// states in first-occurrence order.
+func (p *SpecAgent) recount() {
+	p.view = CountConfig{n: int64(p.spec.N)}
+	for _, c := range p.code {
+		idx, _ := p.view.slot(c)
+		p.view.add(idx, 1)
+	}
 }
 
 // shuffle de-correlates agent index from initial state for specs
@@ -470,7 +462,7 @@ func (p *SpecAgent) materialize(r *rng.Rand) {
 // streams identical to the pre-shuffle contract (the junta bit-for-bit
 // pin relies on this).
 func (p *SpecAgent) shuffle(r *rng.Rand) {
-	if r == nil || p.spec.Layout != nil || len(p.view.counts) <= 1 {
+	if r == nil || p.spec.Layout != nil || p.view.States() <= 1 {
 		return
 	}
 	for i := len(p.code) - 1; i > 0; i-- {
@@ -491,7 +483,7 @@ func (p *SpecAgent) View() ConfigView { return &p.view }
 
 // StateCount returns the number of agents currently in the state with
 // the given code.
-func (p *SpecAgent) StateCount(code uint64) int64 { return p.view.counts[code] }
+func (p *SpecAgent) StateCount(code uint64) int64 { return p.view.Count(code) }
 
 // Code returns agent i's current state code (zero before a sampler
 // spec's one-shot initialization has run, like Output and Converged).
@@ -505,12 +497,10 @@ func (p *SpecAgent) Code(i int) uint64 {
 // move reassigns one agent's code and repairs the mirror.
 func (p *SpecAgent) move(i int, from, to uint64) {
 	p.code[i] = to
-	if c := p.view.counts[from] - 1; c == 0 {
-		delete(p.view.counts, from)
-	} else {
-		p.view.counts[from] = c
-	}
-	p.view.counts[to]++
+	f, _ := p.view.find(from)
+	p.view.add(f, -1)
+	t, _ := p.view.slot(to)
+	p.view.add(t, 1)
 }
 
 // Interact applies one transition of the spec's rule, through the flat

@@ -229,7 +229,8 @@ func FuzzSpecSparseAdapters(f *testing.F) {
 
 // checkSpecAdapters runs the shared spec-layer invariant battery: the
 // derived agent adapter must match the naive reference bit for bit,
-// its count mirror must equal the code array's histogram, and the
+// its count mirror must equal the code array's histogram with a tight
+// occupied window after every step batch, and the
 // derived count form must conserve Σ counts == n with non-negative
 // counts, a tight occupied window and an exact interaction counter on
 // the exact and batched paths alike.
@@ -247,8 +248,18 @@ func checkSpecAdapters(t *testing.T, mkSpec func() *sim.Spec, n int, k uint64, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea.Step(steps)
-	en.Step(steps)
+	var done int64
+	for batch := int64(1); done < steps; batch = batch*3 + 1 {
+		if batch > steps-done {
+			batch = steps - done
+		}
+		ea.Step(batch)
+		en.Step(batch)
+		done += batch
+		if err := sim.CheckMirror(agent); err != nil {
+			t.Fatalf("mirror after %d interactions: %v", done, err)
+		}
+	}
 	hist := make(map[uint64]int64, k)
 	for i := 0; i < n; i++ {
 		if agent.Code(i) != naive.code[i] {
