@@ -12,13 +12,27 @@
 // transformed-rejection method BTRS for the bulk regime; Hypergeometric
 // uses mode-centered inversion, whose expected cost is O(σ) — it is
 // only called on drift-bound violations, which are rare by design.
+//
+// The planner's chains are dominated by small-n·p draws, and most of
+// them stop at their first uniform: X = 0 iff that uniform u is below
+// qⁿ. The inversion sampler therefore tests each uniform against a
+// polynomial lower bound on q^rem (inversionStop) before taking any
+// logarithm, and returns from the same uniform when the test fires —
+// the logarithmic path would have stopped there too, so the variates
+// and the stream position are those of the plain log-ratio sampler.
 package rng
 
 import "math"
 
 // Binomial returns a Binomial(n, p) variate: the number of successes in
 // n independent trials of probability p. It panics for n < 0; p is
-// clamped to [0, 1].
+// clamped to [0, 1]. For n·p < 10 (after mirroring p to at most ½) it
+// sums geometric waiting times by inversion, one uniform each, and
+// returns as soon as a uniform is small enough that its wait certainly
+// overruns the trials left (inversionStop) — without a logarithm, and
+// with log1p(−p) computed only at the first uniform that fails the
+// test; otherwise it runs BTRS. Each draw consumes the same uniforms,
+// and returns the same value, as plain log-ratio inversion would.
 func (r *Rand) Binomial(n int64, p float64) int64 {
 	if n < 0 {
 		panic("rng: Binomial with negative n")
@@ -41,14 +55,21 @@ func (r *Rand) Binomial(n int64, p float64) int64 {
 }
 
 // binomialInversion samples by summing Geometric(p) waiting times until
-// they exceed n — exact, with expected cost O(n·p + 1). Requires
-// 0 < p <= 1/2.
+// they exceed n — exact, with expected cost O(n·p + 1). Each uniform u
+// is first tested by inversionStop; log1p(−p) and log(u) are taken only
+// when the test fails. Requires 0 < p <= 1/2 and n·p < 10.
 func (r *Rand) binomialInversion(n int64, p float64) int64 {
-	lnq := math.Log1p(-p)
+	var lnq float64 // log1p(−p) < 0, once a uniform needs it
 	var k, sum int64
 	for {
 		u := (float64(r.Uint64()>>11) + 1) / (1 << 53) // (0, 1]
-		g := math.Ceil(math.Log(u) / lnq)              // Geometric(p) >= 1
+		if inversionStop(u, float64(n-sum), p) {
+			return k
+		}
+		if lnq == 0 {
+			lnq = math.Log1p(-p)
+		}
+		g := math.Ceil(math.Log(u) / lnq) // Geometric(p) >= 1
 		if g < 1 {
 			g = 1 // u == 1.0 exactly: ceil(-0) would yield 0
 		}
@@ -61,6 +82,28 @@ func (r *Rand) binomialInversion(n int64, p float64) int64 {
 		}
 		k++
 	}
+}
+
+// inversionStop reports that the Geometric(p) wait ⌈ln u / ln q⌉ drawn
+// from uniform u (q = 1 − p) certainly overruns the rem trials left:
+// u < (1 − rem·p)(1 − 2⁻⁴⁰). It holds only where the sampler's log-ratio
+// test, as computed, stops at the same uniform:
+//
+//   - In real arithmetic the wait overruns rem iff u < q^rem, and
+//     Bernoulli's inequality gives q^rem ≥ 1 − rem·p.
+//   - The sampler has p ≤ ½ and rem·p < 10. A u below the bound puts
+//     the exact quotient ln u / ln q at least 2⁻⁴⁰/|ln q| above rem.
+//     The computed Log(u)/Log1p(−p) errs by a few ulps times rem, more
+//     than 2⁷ times less, so it lands above rem too.
+//   - Rounding in the bound itself matters only where 1 − rem·p is
+//     tiny, near rem·p = 1, and there q^rem ≥ 4^(−rem·p) exceeds the
+//     bound by far. For rem·p ≥ 1 the bound is ≤ 0, or below the
+//     smallest uniform 2⁻⁵³, and the test never fires.
+//
+// TestInversionStopBoundary runs the log path at the largest float64
+// that passes this test, over a (rem, p) grid.
+func inversionStop(u, rem, p float64) bool {
+	return u < (1-rem*p)*(1-0x1p-40)
 }
 
 // binomialBTRS is Hörmann's transformed-rejection binomial sampler
