@@ -294,7 +294,7 @@ func TestEnsembleObserverTagsTrials(t *testing.T) {
 }
 
 func TestFaultInjectionEngagesBackup(t *testing.T) {
-	s, err := NewSimulation(StableApproximate, 128, WithSeed(7), WithFaultInjection())
+	s, err := NewSimulation(StableApproximate, 128, WithSeed(7), WithFaults(FaultPlan{CorruptSearch: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,9 @@ func TestBatchEquivalentToScalar(t *testing.T) {
 			sim.Config{Seed: 3}},
 		{"TokenBag/confirm", func() sim.Protocol { return baseline.NewTokenBag(96) },
 			sim.Config{Seed: 9, ConfirmWindow: 10_000}},
-		{"Approximate", func() sim.Protocol { return core.NewApproximate(core.Config{N: 256}) },
+		{"Approximate", func() sim.Protocol { return sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: 256}).Spec) },
 			sim.Config{Seed: 4}},
-		{"CountExact", func() sim.Protocol { return core.NewCountExact(core.Config{N: 256}) },
+		{"CountExact", func() sim.Protocol { return sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: 256}).Spec) },
 			sim.Config{Seed: 5}},
 	}
 	for _, c := range cases {

@@ -118,13 +118,13 @@ func BenchmarkE7Search(b *testing.B) {
 	const n = 1000
 	okWindow := 0
 	for i := 0; i < b.N; i++ {
-		p := core.NewApproximate(core.Config{N: n})
+		p := sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: n}).Spec)
 		res, err := sim.Run(p, sim.Config{Seed: uint64(7 + i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Converged {
-			est := float64(p.Estimate(0))
+		if k := p.Output(0); res.Converged && k >= 0 {
+			est := math.Ldexp(1, int(k))
 			if est > 0.75*n && est <= math.Pow(2, float64(sim.Log2Ceil(n))) {
 				okWindow++
 			}
@@ -136,15 +136,17 @@ func BenchmarkE7Search(b *testing.B) {
 // BenchmarkE8Approximate — Theorem 1.1: convergence in O(n log² n).
 func BenchmarkE8Approximate(b *testing.B) {
 	const n = 1024
-	runNorm(b, func(int) sim.Protocol { return core.NewApproximate(core.Config{N: n}) },
-		sim.Config{Seed: 8}, nLn2N(n), "T/(n·ln²·n)")
+	runNorm(b, func(int) sim.Protocol {
+		return sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: n}).Spec)
+	}, sim.Config{Seed: 8}, nLn2N(n), "T/(n·ln²·n)")
 }
 
 // BenchmarkE9StableApprox — Theorem 1.2: the stable hybrid's clean path.
 func BenchmarkE9StableApprox(b *testing.B) {
 	const n = 512
-	runNorm(b, func(int) sim.Protocol { return core.NewStableApproximate(core.Config{N: n}) },
-		sim.Config{Seed: 9}, nLn2N(n), "T/(n·ln²·n)")
+	runNorm(b, func(int) sim.Protocol {
+		return sim.NewSpecAgent(core.NewStableApproximateSpec(core.Config{N: n}, false).Spec)
+	}, sim.Config{Seed: 9}, nLn2N(n), "T/(n·ln²·n)")
 }
 
 // BenchmarkE10ApproxStage — Lemma 10: k = log n ± 3.
@@ -152,11 +154,12 @@ func BenchmarkE10ApproxStage(b *testing.B) {
 	const n = 1024
 	ok := 0
 	for i := 0; i < b.N; i++ {
-		p := core.NewCountExact(core.Config{N: n})
+		spec := core.NewCountExactSpec(core.Config{N: n})
+		p := sim.NewSpecAgent(spec.Spec)
 		if _, err := sim.Run(p, sim.Config{Seed: uint64(10 + i)}); err != nil {
 			b.Fatal(err)
 		}
-		if d := math.Abs(float64(p.Metrics().MaxK) - math.Log2(n)); d <= 3 {
+		if d := math.Abs(float64(spec.Metrics(p.View()).MaxK) - math.Log2(n)); d <= 3 {
 			ok++
 		}
 	}
@@ -168,7 +171,7 @@ func BenchmarkE11Refine(b *testing.B) {
 	const n = 1024
 	exact := 0
 	for i := 0; i < b.N; i++ {
-		p := core.NewCountExact(core.Config{N: n})
+		p := sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n}).Spec)
 		res, err := sim.Run(p, sim.Config{Seed: uint64(11 + i)})
 		if err != nil {
 			b.Fatal(err)
@@ -183,8 +186,9 @@ func BenchmarkE11Refine(b *testing.B) {
 // BenchmarkE12CountExact — Theorem 2: stabilization in O(n log n).
 func BenchmarkE12CountExact(b *testing.B) {
 	const n = 1024
-	runNorm(b, func(int) sim.Protocol { return core.NewCountExact(core.Config{N: n}) },
-		sim.Config{Seed: 12}, nLnN(n), "T/(n·ln·n)")
+	runNorm(b, func(int) sim.Protocol {
+		return sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n}).Spec)
+	}, sim.Config{Seed: 12}, nLnN(n), "T/(n·ln·n)")
 }
 
 // BenchmarkE13BackupApprox — Lemma 12: backup in O(n² log² n).
@@ -215,7 +219,7 @@ func BenchmarkE15Baselines(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ce := core.NewCountExact(core.Config{N: n})
+		ce := sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n}).Spec)
 		cres, err := sim.Run(ce, sim.Config{Seed: uint64(115 + i)})
 		if err != nil {
 			b.Fatal(err)
@@ -235,7 +239,7 @@ func BenchmarkE15Baselines(b *testing.B) {
 func BenchmarkA1ClockPeriod(b *testing.B) {
 	const n = 1024
 	runNorm(b, func(int) sim.Protocol {
-		return core.NewApproximate(core.Config{N: n, ClockM: 16})
+		return sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: n, ClockM: 16}).Spec)
 	}, sim.Config{Seed: 16}, nLn2N(n), "T/(n·ln²·n)")
 }
 
@@ -243,7 +247,7 @@ func BenchmarkA1ClockPeriod(b *testing.B) {
 func BenchmarkA2Shift(b *testing.B) {
 	const n = 1024
 	runNorm(b, func(int) sim.Protocol {
-		return core.NewCountExact(core.Config{N: n, Shift: 1})
+		return sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n, Shift: 1}).Spec)
 	}, sim.Config{Seed: 17}, nLnN(n), "T/(n·ln·n)")
 }
 
@@ -442,19 +446,19 @@ func BenchmarkTokenBagBatch(b *testing.B)  { benchPath(b, baseline.NewTokenBag(1
 // Approximate's transition is heavier, so the dispatch saving is
 // proportionally smaller but still visible.
 func BenchmarkApproximateScalar(b *testing.B) {
-	benchPath(b, core.NewApproximate(core.Config{N: 1 << 14}), true)
+	benchPath(b, sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: 1 << 14}).Spec), true)
 }
 func BenchmarkApproximateBatch(b *testing.B) {
-	benchPath(b, core.NewApproximate(core.Config{N: 1 << 14}), false)
+	benchPath(b, sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: 1 << 14}).Spec), false)
 }
 
 // BenchmarkCountExactScalar / BenchmarkCountExactBatch — same comparison
 // for protocol CountExact.
 func BenchmarkCountExactScalar(b *testing.B) {
-	benchPath(b, core.NewCountExact(core.Config{N: 1 << 14}), true)
+	benchPath(b, sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: 1 << 14}).Spec), true)
 }
 func BenchmarkCountExactBatch(b *testing.B) {
-	benchPath(b, core.NewCountExact(core.Config{N: 1 << 14}), false)
+	benchPath(b, sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: 1 << 14}).Spec), false)
 }
 
 // benchSpecAgentStep measures sustained agent-adapter throughput of a

@@ -1,10 +1,11 @@
 // Cross-engine conformance of the paper's composed counting protocols:
 // the spec-derived count and batched-count forms must simulate the same
-// chain as the hand-written agent protocols. Complements the bit-for-
-// bit agent pins in internal/core (which anchor the SPEC to the
-// hand-written rule) with a distributional pin that anchors the COUNT
-// ENGINES to the agent engine across the interning layer, plus
-// Σ counts == n conservation on the interned sparse-Delta path.
+// chain as the spec's agent form. Complements the bit-for-bit agent
+// pins in internal/core (which anchor the agent form to the rule, state
+// by state, and to golden results recorded from the hand-written agent
+// arrays) with a distributional pin that anchors the COUNT ENGINES to
+// the agent engine across the interning layer, plus Σ counts == n
+// conservation on the interned sparse-Delta path.
 //
 // Unlike the building-block protocols of TestCountEngineEquivalence*,
 // the composed protocols' convergence time is multi-modal: T_C is
@@ -39,10 +40,11 @@ const (
 	coreEquivN         = 1024
 )
 
-// coreMeanAgent runs trials of the hand-written agent protocol and
-// returns the mean convergence time.
-func coreMeanAgent(t *testing.T, name string, factory func(int) sim.Protocol, cfg sim.Config) float64 {
+// coreMeanAgent runs trials of a spec's agent form and returns the
+// mean convergence time.
+func coreMeanAgent(t *testing.T, name string, spec func() *sim.Spec, cfg sim.Config) float64 {
 	t.Helper()
+	factory := func(int) sim.Protocol { return sim.NewSpecAgent(spec()) }
 	runs, err := sim.RunTrials(factory, coreEquivTrials, cfg, sim.TrialOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatalf("%s agent trials: %v", name, err)
@@ -87,11 +89,11 @@ func checkCoreEquivalence(t *testing.T, name string, agent, count float64) {
 }
 
 // coreEquivalence runs the full three-column comparison for one
-// protocol: hand-written agent form vs spec count form vs spec batched
-// form, paired trial seeds throughout.
-func coreEquivalence(t *testing.T, name string, agentFactory func(int) sim.Protocol, spec func() *sim.Spec, cfg sim.Config) {
+// protocol: spec agent form vs spec count form vs spec batched form,
+// paired trial seeds throughout.
+func coreEquivalence(t *testing.T, name string, spec func() *sim.Spec, cfg sim.Config) {
 	t.Helper()
-	agent := coreMeanAgent(t, name, agentFactory, cfg)
+	agent := coreMeanAgent(t, name, spec, cfg)
 	checkCoreEquivalence(t, name, agent, coreMeanCount(t, name, spec, cfg))
 	checkCoreEquivalence(t, name+" batched", agent,
 		coreMeanCount(t, name+" batched", spec, batched(cfg)))
@@ -104,7 +106,6 @@ func TestCoreEngineEquivalenceApproximate(t *testing.T) {
 	t.Parallel()
 	cfg := sim.Config{Seed: 0xCE1, CheckEvery: coreEquivN}
 	coreEquivalence(t, "approximate",
-		func(int) sim.Protocol { return core.NewApproximate(core.Config{N: coreEquivN}) },
 		func() *sim.Spec { return core.NewApproximateSpec(core.Config{N: coreEquivN}).Spec },
 		cfg)
 }
@@ -113,7 +114,6 @@ func TestCoreEngineEquivalenceCountExact(t *testing.T) {
 	t.Parallel()
 	cfg := sim.Config{Seed: 0xCE2, CheckEvery: coreEquivN}
 	coreEquivalence(t, "exact",
-		func(int) sim.Protocol { return core.NewCountExact(core.Config{N: coreEquivN}) },
 		func() *sim.Spec { return core.NewCountExactSpec(core.Config{N: coreEquivN}).Spec },
 		cfg)
 }

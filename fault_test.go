@@ -126,7 +126,9 @@ func TestWithFaultsCrossEngineDistributional(t *testing.T) {
 func TestFaultySnapshotResume(t *testing.T) {
 	for _, kind := range []EngineKind{EngineAgent, EngineCount, EngineCountBatched} {
 		t.Run(kind.String(), func(t *testing.T) {
-			opts := []Option{WithSeed(11), WithEngine(kind), WithFaults(burstPlan()), WithFaultInjection()}
+			plan := burstPlan()
+			plan.CorruptSearch = true
+			opts := []Option{WithSeed(11), WithEngine(kind), WithFaults(plan)}
 			alg := StableApproximate
 			ref, err := NewSimulation(alg, 256, opts...)
 			if err != nil {
@@ -225,8 +227,8 @@ func TestWithFaultsRejections(t *testing.T) {
 	if err := Validate(Approximate, 64, WithFaults(FaultPlan{Bursts: []FaultBurst{{At: 1, Agents: 65}}})); !errors.Is(err, ErrBadFaultPlan) {
 		t.Fatalf("oversized burst: err = %v, want ErrBadFaultPlan", err)
 	}
-	// CorruptSearch alone is not a dynamic plan: it works everywhere the
-	// legacy option worked, TokenBag included.
+	// CorruptSearch alone is not a dynamic plan: it works with every
+	// algorithm, TokenBag included.
 	if _, err := NewSimulation(TokenBag, 64, WithFaults(FaultPlan{CorruptSearch: true})); err != nil {
 		t.Fatalf("CorruptSearch-only plan on TokenBag: %v", err)
 	}

@@ -118,8 +118,9 @@ type FaultPlan struct {
 
 	// CorruptSearch corrupts the search result of the stable protocol
 	// variants (StableApproximate, StableCountExact), forcing their
-	// error-detection → backup pipeline to engage — the legacy
-	// WithFaultInjection knob. It is a protocol-construction switch,
+	// error-detection → backup pipeline to engage — a demonstration and
+	// testing knob for the machinery of Theorem 1.2 and Appendix F;
+	// other algorithms ignore it. It is a protocol-construction switch,
 	// not a scheduled fault: Enabled ignores it.
 	CorruptSearch bool
 }
@@ -247,7 +248,7 @@ func (p FaultPlan) String() string {
 //	adv-rate=R                 adversary event rate per n interactions
 //	adv-agents=K               convergence adversary's strike size
 //	seed=S                     fault stream seed
-//	corrupt-search[=BOOL]      legacy stable-hybrid search corruption
+//	corrupt-search[=BOOL]      stable-hybrid search corruption (CorruptSearch)
 //
 // The empty string parses to the zero plan. Structural validation
 // against the population size happens at run construction, not here.

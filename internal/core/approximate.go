@@ -6,7 +6,6 @@ import (
 	"popcount/internal/junta"
 	"popcount/internal/leader"
 	"popcount/internal/rng"
-	"popcount/internal/sim"
 )
 
 // maxSearchK caps the search variable k (load exponents never approach it
@@ -24,27 +23,10 @@ type approxAgent struct {
 	searchDone bool
 }
 
-// Approximate is the paper's protocol Approximate (Algorithm 2,
-// Theorem 1.1): a uniform protocol after which every agent outputs
-// ⌊log₂ n⌋ or ⌈log₂ n⌉ w.h.p., converging in O(n log² n) interactions
-// with O(log n · log log n) states.
-//
-// Stage structure per agent (tracked through the flags leaderDone and
-// searchDone): Stage 1 elects a leader with the slow protocol of [GS18];
-// Stage 2 runs the Search Protocol (Algorithm 1), in which the leader
-// performs a linear search over k, injecting 2^k tokens per round and
-// using powers-of-two load balancing to test whether 2^k exceeds ¾·n;
-// Stage 3 broadcasts the leader's final k to every agent.
-type Approximate struct {
-	approxRule
-	ag []approxAgent
-}
-
 // approxRule is the n-independent part of protocol Approximate: the
 // configuration and sub-protocol wiring that defines the pairwise
-// transition rule. The agent-array form (Approximate) applies it to an
-// indexed array; the transition spec (NewApproximateSpec) applies it to
-// decoded state pairs — one rule, every engine form.
+// transition rule. The transition spec (NewApproximateSpec) applies it
+// to decoded state pairs, so every engine form runs this one rule.
 type approxRule struct {
 	cfg   Config
 	clk   clock.Clock
@@ -69,25 +51,6 @@ func (p *approxRule) initAgent() approxAgent {
 		led: p.elect.Init(),
 		k:   -1,
 	}
-}
-
-// NewApproximate returns a fresh instance of protocol Approximate.
-func NewApproximate(cfg Config) *Approximate {
-	p := &Approximate{approxRule: newApproxRule(cfg)}
-	p.ag = make([]approxAgent, p.cfg.N)
-	for i := range p.ag {
-		p.ag[i] = p.initAgent()
-	}
-	return p
-}
-
-// N returns the population size.
-func (p *Approximate) N() int { return p.cfg.N }
-
-// Interact applies one interaction of protocol Approximate (Algorithm 2)
-// with initiator u and responder v.
-func (p *Approximate) Interact(u, v int, r *rng.Rand) {
-	p.stepPair(&p.ag[u], &p.ag[v], r)
 }
 
 // stepPair applies one interaction of the rule to the pair (a, b) with
@@ -131,26 +94,6 @@ func (p *approxRule) stepPair(a, b *approxAgent, r *rng.Rand) {
 	} else if b.led.Done && b.searchDone && !a.searchDone {
 		a.searchDone = true
 		a.k = b.k
-	}
-}
-
-// InteractBatch implements sim.BatchInteractor: it executes count
-// interactions in one tight loop, bit-for-bit equivalent to count scalar
-// Interact calls. The win over the engine's scalar loop is the removal
-// of two virtual calls per interaction — the protocol dispatch and, on
-// the uniform scheduler, the pair draw.
-func (p *Approximate) InteractBatch(count int64, sched sim.Scheduler, r *rng.Rand) {
-	n := p.cfg.N
-	if _, ok := sched.(sim.UniformScheduler); ok {
-		for i := int64(0); i < count; i++ {
-			u, v := r.Pair(n)
-			p.Interact(u, v, r)
-		}
-		return
-	}
-	for i := int64(0); i < count; i++ {
-		u, v := sched.Next(n, r)
-		p.Interact(u, v, r)
 	}
 }
 
@@ -246,55 +189,4 @@ func (p *approxRule) searchLeaderActions(w, q *approxAgent) {
 			w.searchDone = true
 		}
 	}
-}
-
-// Converged reports whether every agent finished the search and all
-// agents agree on k — the desired configuration of Theorem 1.1.
-func (p *Approximate) Converged() bool {
-	k := p.ag[0].k
-	for i := range p.ag {
-		if !p.ag[i].searchDone || p.ag[i].k != k {
-			return false
-		}
-	}
-	return k >= 0
-}
-
-// Output returns agent i's current output: its estimate of log₂ n.
-func (p *Approximate) Output(i int) int64 { return int64(p.ag[i].k) }
-
-// Estimate returns agent i's population-size estimate 2^k (0 when the
-// agent is still empty).
-func (p *Approximate) Estimate(i int) int64 {
-	if p.ag[i].k < 0 {
-		return 0
-	}
-	return int64(1) << uint(p.ag[i].k)
-}
-
-// Leaders returns the number of current leader contenders.
-func (p *Approximate) Leaders() int {
-	c := 0
-	for i := range p.ag {
-		if p.ag[i].led.IsLeader {
-			c++
-		}
-	}
-	return c
-}
-
-// Metrics reports the observed variable ranges for state accounting
-// (Theorem 1.1: O(log n · log log n) states — the only non-constant
-// variables are the junta level and k; see Figure 2).
-func (p *Approximate) Metrics() StateMetrics {
-	var m StateMetrics
-	for i := range p.ag {
-		if l := int(p.ag[i].jnt.Level); l > m.MaxLevel {
-			m.MaxLevel = l
-		}
-		if k := int(p.ag[i].k); k > m.MaxK {
-			m.MaxK = k
-		}
-	}
-	return m
 }

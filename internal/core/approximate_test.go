@@ -8,13 +8,19 @@ import (
 	"popcount/internal/sim"
 )
 
+// approxLeaders returns the number of current leader contenders of a
+// configuration of protocol Approximate.
+func approxLeaders(p *ApproximateSpec, v sim.ConfigView) int64 {
+	return countStates(p.in, v, func(s approxAgent) bool { return s.led.IsLeader })
+}
+
 func TestNewApproximateValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for n < 2")
 		}
 	}()
-	NewApproximate(Config{N: 1})
+	NewApproximateSpec(Config{N: 1})
 }
 
 func TestApproximateOutputsFloorOrCeilLog(t *testing.T) {
@@ -23,11 +29,8 @@ func TestApproximateOutputsFloorOrCeilLog(t *testing.T) {
 	for _, n := range []int{300, 1000, 1500, 4096} {
 		lo, hi := int64(sim.Log2Floor(n)), int64(sim.Log2Ceil(n))
 		for trial := 0; trial < 3; trial++ {
-			p := NewApproximate(Config{N: n})
-			res, err := sim.Run(p, sim.Config{Seed: uint64(1000*n + trial)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			spec := NewApproximateSpec(Config{N: n})
+			p, res := runAgent(t, spec.Spec, sim.Config{Seed: uint64(1000*n + trial)})
 			if !res.Converged {
 				t.Fatalf("n=%d trial %d: did not converge", n, trial)
 			}
@@ -36,8 +39,8 @@ func TestApproximateOutputsFloorOrCeilLog(t *testing.T) {
 					t.Fatalf("n=%d: agent %d outputs %d, want %d or %d", n, i, out, lo, hi)
 				}
 			}
-			if p.Leaders() != 1 {
-				t.Errorf("n=%d: %d leaders after convergence", n, p.Leaders())
+			if l := approxLeaders(spec, p.View()); l != 1 {
+				t.Errorf("n=%d: %d leaders after convergence", n, l)
 			}
 		}
 	}
@@ -45,12 +48,12 @@ func TestApproximateOutputsFloorOrCeilLog(t *testing.T) {
 
 func TestApproximateEstimateWithinFactorTwo(t *testing.T) {
 	n := 1000
-	p := NewApproximate(Config{N: n})
-	if _, err := sim.Run(p, sim.Config{Seed: 5}); err != nil {
-		t.Fatal(err)
+	p, _ := runAgent(t, NewApproximateSpec(Config{N: n}).Spec, sim.Config{Seed: 5})
+	k := p.Output(0)
+	if k < 0 {
+		t.Fatalf("agent 0 is still empty (k = %d)", k)
 	}
-	est := p.Estimate(0)
-	if est < int64(n)/2 || est > 2*int64(n) {
+	if est := int64(1) << uint(k); est < int64(n)/2 || est > 2*int64(n) {
 		t.Fatalf("estimate %d outside [n/2, 2n]", est)
 	}
 }
@@ -60,11 +63,7 @@ func TestApproximateConvergesInNLog2N(t *testing.T) {
 	// point is that the normalized time does not grow with n.
 	var norms []float64
 	for _, n := range []int{512, 2048, 8192} {
-		p := NewApproximate(Config{N: n})
-		res, err := sim.Run(p, sim.Config{Seed: uint64(n)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := runAgent(t, NewApproximateSpec(Config{N: n}).Spec, sim.Config{Seed: uint64(n)})
 		if !res.Converged {
 			t.Fatalf("n=%d: did not converge", n)
 		}
@@ -86,11 +85,9 @@ func TestApproximateStateBounds(t *testing.T) {
 	// Theorem 1.1: states O(log n · log log n) — level stays O(log log n)
 	// and k stays ≤ ⌈log n⌉ + O(1).
 	n := 4096
-	p := NewApproximate(Config{N: n})
-	if _, err := sim.Run(p, sim.Config{Seed: 9}); err != nil {
-		t.Fatal(err)
-	}
-	m := p.Metrics()
+	spec := NewApproximateSpec(Config{N: n})
+	p, _ := runAgent(t, spec.Spec, sim.Config{Seed: 9})
+	m := spec.Metrics(p.View())
 	loglogn := math.Log2(math.Log2(float64(n)))
 	if float64(m.MaxLevel) > loglogn+8 {
 		t.Errorf("max level %d exceeds log log n + 8", m.MaxLevel)
@@ -102,11 +99,7 @@ func TestApproximateStateBounds(t *testing.T) {
 
 func TestApproximateDeterministic(t *testing.T) {
 	run := func() (sim.Result, int64) {
-		p := NewApproximate(Config{N: 300})
-		res, err := sim.Run(p, sim.Config{Seed: 1234})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, res := runAgent(t, NewApproximateSpec(Config{N: 300}).Spec, sim.Config{Seed: 1234})
 		return res, p.Output(0)
 	}
 	r1, o1 := run()
@@ -120,16 +113,17 @@ func TestApproximateSearchInvariants(t *testing.T) {
 	// During the whole run: at least one leader contender exists, and the
 	// output variable k never exceeds its cap.
 	n := 256
-	p := NewApproximate(Config{N: n})
+	spec := NewApproximateSpec(Config{N: n})
+	p := sim.NewSpecAgent(spec.Spec)
 	r := rng.New(17)
 	for i := 0; i < 3_000_000; i++ {
 		u, v := r.Pair(n)
 		p.Interact(u, v, r)
 		if i%5000 == 0 {
-			if p.Leaders() < 1 {
+			if approxLeaders(spec, p.View()) < 1 {
 				t.Fatalf("no leader contender at interaction %d", i)
 			}
-			if m := p.Metrics(); m.MaxK > maxSearchK {
+			if m := spec.Metrics(p.View()); m.MaxK > maxSearchK {
 				t.Fatalf("k exceeded cap: %d", m.MaxK)
 			}
 		}
@@ -141,11 +135,8 @@ func TestApproximateSmallPopulations(t *testing.T) {
 	// w.h.p. guarantees are vacuous there, so only sanity is checked:
 	// convergence to some non-negative k).
 	for _, n := range []int{2, 3, 5, 8} {
-		p := NewApproximate(Config{N: n})
-		res, err := sim.Run(p, sim.Config{Seed: uint64(n), MaxInteractions: 50_000_000})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, res := runAgent(t, NewApproximateSpec(Config{N: n}).Spec,
+			sim.Config{Seed: uint64(n), MaxInteractions: 50_000_000})
 		if !res.Converged {
 			t.Logf("n=%d: no convergence within cap (acceptable for tiny n)", n)
 			continue

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"popcount/internal/balance"
 	"popcount/internal/clock"
 	"popcount/internal/junta"
 	"popcount/internal/leader"
 	"popcount/internal/rng"
-	"popcount/internal/sim"
 )
 
 // refC is the constant factor 2^8 with which the Refinement Stage
@@ -35,25 +33,10 @@ type exactAgent struct {
 	overflow      bool // a load multiplication would have overflowed int64
 }
 
-// CountExact is the paper's protocol CountExact (Algorithm 3, Theorem 2):
-// a uniform protocol after which every agent outputs the exact population
-// size n, stabilizing in O(n log n) interactions with Õ(n) states.
-//
-// Stage structure: Stage 1 elects a leader with FastLeaderElection
-// (Lemma 7); Stage 2 (Approximation Stage, Algorithm 4) computes
-// k = log n ± 3 by repeated load explosion and classical load balancing;
-// Stage 3 (Refinement Stage, Algorithm 5) injects 2^8·2^k tokens,
-// balances them, multiplies all loads by 2^k and balances again, after
-// which every agent computes n exactly as ⌊2^8·2^(2k)/ℓ⌉.
-type CountExact struct {
-	exactRule
-	ag []exactAgent
-}
-
 // exactRule is the n-independent part of protocol CountExact: the
 // configuration and sub-protocol wiring that defines the pairwise
-// transition rule, shared by the agent-array form and the transition
-// spec (NewCountExactSpec).
+// transition rule, which the transition spec (NewCountExactSpec)
+// applies to decoded state pairs.
 type exactRule struct {
 	cfg   Config
 	clk   clock.Clock
@@ -79,24 +62,11 @@ func (p *exactRule) initAgent() exactAgent {
 	}
 }
 
-// NewCountExact returns a fresh instance of protocol CountExact.
-func NewCountExact(cfg Config) *CountExact {
-	p := &CountExact{exactRule: newExactRule(cfg)}
-	p.ag = make([]exactAgent, p.cfg.N)
-	for i := range p.ag {
-		p.ag[i] = p.initAgent()
-	}
-	return p
-}
-
-// N returns the population size.
-func (p *CountExact) N() int { return p.cfg.N }
-
 // injectExp returns the per-phase load-explosion exponent e for an agent
 // on the given junta level: the phase multiplier is 2^e ≈ n^η. This is
 // the paper's 2^(level−8) rescaled by Config.Shift (see DESIGN.md).
-func (p *exactRule) injectExp(level uint8) int32 {
-	e := int32(1) << level >> uint(p.cfg.Shift)
+func injectExp(level uint8, shift int) int32 {
+	e := int32(1) << level >> uint(shift)
 	if e < 1 {
 		e = 1
 	}
@@ -106,37 +76,12 @@ func (p *exactRule) injectExp(level uint8) int32 {
 	return e
 }
 
-// InteractBatch implements sim.BatchInteractor: it executes count
-// interactions in one tight loop, bit-for-bit equivalent to count scalar
-// Interact calls, with pair drawing devirtualized for the uniform
-// scheduler.
-func (p *CountExact) InteractBatch(count int64, sched sim.Scheduler, r *rng.Rand) {
-	n := p.cfg.N
-	if _, ok := sched.(sim.UniformScheduler); ok {
-		for i := int64(0); i < count; i++ {
-			u, v := r.Pair(n)
-			p.Interact(u, v, r)
-		}
-		return
-	}
-	for i := int64(0); i < count; i++ {
-		u, v := sched.Next(n, r)
-		p.Interact(u, v, r)
-	}
-}
-
-// Interact applies one interaction of protocol CountExact (Algorithm 3)
-// with initiator u and responder v.
-func (p *CountExact) Interact(u, v int, r *rng.Rand) {
-	p.stepPair(&p.ag[u], &p.ag[v], r)
-}
-
 // stepPair applies one interaction of the rule to the pair (a, b) with
 // initiator a.
 func (p *exactRule) stepPair(a, b *exactAgent, r *rng.Rand) {
 	// Line 3: junta process, with re-initialization (line 1–2) of every
 	// agent whose level changed — see the corresponding comment in
-	// Approximate.Interact for why climbers reset too.
+	// approxRule.stepPair for why climbers reset too.
 	preA, preB := a.jnt.Level, b.jnt.Level
 	junta.Interact(&a.jnt, &b.jnt)
 	if a.jnt.Level != preA {
@@ -205,7 +150,7 @@ func (p *exactRule) apxBoundary(w *exactAgent) {
 	if !p.inApx(w) || !w.clk.FirstTick {
 		return
 	}
-	e := p.injectExp(w.jnt.Level)
+	e := injectExp(w.jnt.Level, p.cfg.Shift)
 	if w.led.IsLeader && w.i == 0 {
 		// Line 2–3: the leader seeds the very first phase with one token.
 		w.l = 1
@@ -310,74 +255,6 @@ func (p *exactRule) refBoundary(w *exactAgent) {
 	}
 }
 
-// Output returns agent i's output ω(i) = ⌊2^8·2^(2k)/ℓ⌉, the agent's
-// estimate of the exact population size (0 while the agent has no load).
-func (p *CountExact) Output(i int) int64 {
-	w := &p.ag[i]
-	if !w.refMultiplied || w.l <= 0 {
-		return 0
-	}
-	num := refC << uint(2*w.k)
-	return (num + w.l/2) / w.l
-}
-
-// Converged reports whether every agent has completed the Refinement
-// Stage and all outputs agree — the desired configuration of Theorem 2.
-func (p *CountExact) Converged() bool {
-	if !p.ag[0].refMultiplied || p.ag[0].l <= 0 {
-		return false
-	}
-	want := p.Output(0)
-	for i := range p.ag {
-		w := &p.ag[i]
-		if !w.refMultiplied || w.l <= 0 || p.Output(i) != want {
-			return false
-		}
-	}
-	return true
-}
-
-// Leaders returns the number of current leader contenders.
-func (p *CountExact) Leaders() int {
-	c := 0
-	for i := range p.ag {
-		if p.ag[i].led.IsLeader {
-			c++
-		}
-	}
-	return c
-}
-
-// Overflowed reports whether any agent hit the int64 load guard (only
-// possible beyond n ≈ 7·10⁸, see DESIGN.md).
-func (p *CountExact) Overflowed() bool {
-	for i := range p.ag {
-		if p.ag[i].overflow {
-			return true
-		}
-	}
-	return false
-}
-
-// Metrics reports the observed variable ranges for state accounting
-// (Theorem 2: Õ(n) states — levels O(log log n), i O(1), k ≤ log n + 3,
-// loads O(n²·2^O(1)); see Figure 3 and the proof in Appendix F).
-func (p *CountExact) Metrics() StateMetrics {
-	var m StateMetrics
-	for i := range p.ag {
-		if l := int(p.ag[i].jnt.Level); l > m.MaxLevel {
-			m.MaxLevel = l
-		}
-		if k := int(p.ag[i].k); k > m.MaxK {
-			m.MaxK = k
-		}
-		if p.ag[i].l > m.MaxLoad {
-			m.MaxLoad = p.ag[i].l
-		}
-	}
-	return m
-}
-
 // log2Floor64 returns ⌊log₂ x⌋ for x ≥ 1.
 func log2Floor64(x int64) int {
 	k := -1
@@ -385,40 +262,4 @@ func log2Floor64(x int64) int {
 		k++
 	}
 	return k
-}
-
-// Debug returns a one-line summary of the population for development.
-func (p *CountExact) Debug() string {
-	leaders, done, apx, ref, mult := 0, 0, 0, 0, 0
-	var maxPhase uint32
-	minLevel, maxLevel := 255, 0
-	for i := range p.ag {
-		w := &p.ag[i]
-		if w.led.IsLeader {
-			leaders++
-		}
-		if w.led.Done {
-			done++
-		}
-		if w.apxDone {
-			apx++
-		}
-		if w.refEntered {
-			ref++
-		}
-		if w.refMultiplied {
-			mult++
-		}
-		if w.clk.Phase > maxPhase {
-			maxPhase = w.clk.Phase
-		}
-		if int(w.jnt.Level) < minLevel {
-			minLevel = int(w.jnt.Level)
-		}
-		if int(w.jnt.Level) > maxLevel {
-			maxLevel = int(w.jnt.Level)
-		}
-	}
-	return fmt.Sprintf("leaders=%d done=%d apx=%d ref=%d mult=%d phase=%d lvl=[%d,%d]",
-		leaders, done, apx, ref, mult, maxPhase, minLevel, maxLevel)
 }

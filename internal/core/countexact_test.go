@@ -14,18 +14,15 @@ func TestNewCountExactValidation(t *testing.T) {
 			t.Fatal("expected panic for n < 2")
 		}
 	}()
-	NewCountExact(Config{N: 0})
+	NewCountExactSpec(Config{N: 0})
 }
 
 func TestCountExactOutputsExactN(t *testing.T) {
 	// Theorem 2: every agent outputs the exact population size.
 	for _, n := range []int{256, 1000, 4096, 10000} {
 		for trial := 0; trial < 3; trial++ {
-			p := NewCountExact(Config{N: n})
-			res, err := sim.Run(p, sim.Config{Seed: uint64(100*n + trial)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			spec := NewCountExactSpec(Config{N: n})
+			p, res := runAgent(t, spec.Spec, sim.Config{Seed: uint64(100*n + trial)})
 			if !res.Converged {
 				t.Fatalf("n=%d trial %d: did not converge", n, trial)
 			}
@@ -34,7 +31,7 @@ func TestCountExactOutputsExactN(t *testing.T) {
 					t.Fatalf("n=%d trial %d: agent %d outputs %d", n, trial, i, out)
 				}
 			}
-			if p.Overflowed() {
+			if exactOverflowed(spec, p.View()) {
 				t.Errorf("n=%d: unexpected overflow", n)
 			}
 		}
@@ -46,11 +43,7 @@ func TestCountExactTimeIsNLogN(t *testing.T) {
 	// flat across the sweep.
 	var norms []float64
 	for _, n := range []int{1024, 4096, 16384} {
-		p := NewCountExact(Config{N: n})
-		res, err := sim.Run(p, sim.Config{Seed: uint64(n)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := runAgent(t, NewCountExactSpec(Config{N: n}).Spec, sim.Config{Seed: uint64(n)})
 		if !res.Converged {
 			t.Fatalf("n=%d: did not converge", n)
 		}
@@ -70,11 +63,9 @@ func TestCountExactStateBounds(t *testing.T) {
 	// Theorem 2 / Lemma 10: k ≤ log n + 3 and loads bounded by
 	// 2^8·2^(2k) ≤ 2^14·n².
 	n := 2048
-	p := NewCountExact(Config{N: n})
-	if _, err := sim.Run(p, sim.Config{Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	m := p.Metrics()
+	spec := NewCountExactSpec(Config{N: n})
+	p, _ := runAgent(t, spec.Spec, sim.Config{Seed: 3})
+	m := spec.Metrics(p.View())
 	if m.MaxK > sim.Log2Ceil(n)+3 {
 		t.Errorf("max k = %d exceeds log n + 3", m.MaxK)
 	}
@@ -86,11 +77,7 @@ func TestCountExactStateBounds(t *testing.T) {
 
 func TestCountExactDeterministic(t *testing.T) {
 	run := func() (sim.Result, int64) {
-		p := NewCountExact(Config{N: 500})
-		res, err := sim.Run(p, sim.Config{Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, res := runAgent(t, NewCountExactSpec(Config{N: 500}).Spec, sim.Config{Seed: 42})
 		return res, p.Output(0)
 	}
 	r1, o1 := run()
@@ -102,12 +89,16 @@ func TestCountExactDeterministic(t *testing.T) {
 
 func TestCountExactAlwaysHasALeader(t *testing.T) {
 	n := 256
-	p := NewCountExact(Config{N: n})
+	spec := NewCountExactSpec(Config{N: n})
+	p := sim.NewSpecAgent(spec.Spec)
+	leaders := func() int64 {
+		return countStates(spec.in, p.View(), func(s exactAgent) bool { return s.led.IsLeader })
+	}
 	r := rng.New(23)
 	for i := 0; i < 3_000_000; i++ {
 		u, v := r.Pair(n)
 		p.Interact(u, v, r)
-		if i%5000 == 0 && p.Leaders() < 1 {
+		if i%5000 == 0 && leaders() < 1 {
 			t.Fatalf("no leader contender at interaction %d", i)
 		}
 	}
@@ -117,11 +108,7 @@ func TestCountExactShiftAblation(t *testing.T) {
 	// The shift parameter trades phases for per-phase growth
 	// (experiment A2); the result must stay exact across settings.
 	for _, shift := range []int{2, 3, 4} {
-		p := NewCountExact(Config{N: 1000, Shift: shift})
-		res, err := sim.Run(p, sim.Config{Seed: uint64(shift)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, res := runAgent(t, NewCountExactSpec(Config{N: 1000, Shift: shift}).Spec, sim.Config{Seed: uint64(shift)})
 		if !res.Converged || p.Output(0) != 1000 {
 			t.Errorf("shift=%d: converged=%v output=%d", shift, res.Converged, p.Output(0))
 		}
@@ -129,7 +116,6 @@ func TestCountExactShiftAblation(t *testing.T) {
 }
 
 func TestInjectExpBounds(t *testing.T) {
-	p := NewCountExact(Config{N: 16})
 	cases := []struct {
 		level uint8
 		want  int32
@@ -137,10 +123,17 @@ func TestInjectExpBounds(t *testing.T) {
 		{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 2}, {5, 4}, {6, 8}, {7, 16}, {10, 16},
 	}
 	for _, c := range cases {
-		if got := p.injectExp(c.level); got != c.want {
+		if got := injectExp(c.level, DefaultShift); got != c.want {
 			t.Errorf("injectExp(%d) = %d, want %d", c.level, got, c.want)
 		}
 	}
+}
+
+// exactOverflowed reports whether any agent of a CountExact
+// configuration hit the int64 load guard (only possible beyond
+// n ≈ 7·10⁸, see DESIGN.md).
+func exactOverflowed(p *CountExactSpec, v sim.ConfigView) bool {
+	return countStates(p.in, v, func(s exactAgent) bool { return s.overflow }) > 0
 }
 
 func TestLog2Floor64(t *testing.T) {

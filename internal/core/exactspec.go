@@ -14,8 +14,8 @@ func canonExact(w exactAgent) exactAgent {
 }
 
 // exactStateOutput is the output function ω(v) = ⌊2^8·2^(2k)/ℓ⌉ on one
-// decoded state (0 while the agent has no multiplied load) — the state
-// form of CountExact.Output.
+// decoded state: the agent's estimate of the exact population size (0
+// while the agent has no multiplied load).
 func exactStateOutput(w exactAgent) int64 {
 	if !w.refMultiplied || w.l <= 0 {
 		return 0
@@ -32,9 +32,19 @@ type CountExactSpec struct {
 	in   *sim.Interner[exactAgent]
 }
 
-// NewCountExactSpec returns the canonical transition spec of protocol
-// CountExact over cfg, derived from the same stepPair the agent-array
-// form runs. Unlike the building-block specs, the state space is not
+// NewCountExactSpec returns the canonical transition spec of the
+// paper's protocol CountExact (Algorithm 3, Theorem 2) over cfg: a
+// uniform protocol after which every agent outputs the exact population
+// size n, stabilizing in O(n log n) interactions with Õ(n) states.
+//
+// Stage structure: Stage 1 elects a leader with FastLeaderElection
+// (Lemma 7); Stage 2 (Approximation Stage, Algorithm 4) computes
+// k = log n ± 3 by repeated load explosion and classical load balancing;
+// Stage 3 (Refinement Stage, Algorithm 5) injects 2^8·2^k tokens,
+// balances them, multiplies all loads by 2^k and balances again, after
+// which every agent computes n exactly as ⌊2^8·2^(2k)/ℓ⌉.
+//
+// Unlike the building-block specs, the state space is not
 // constant-size: classical loads make the alphabet Õ(n), so codes are
 // interned over the occupied fragment. The count forms therefore scale
 // with the number of distinct loads in flight — far beyond agent-array
@@ -94,9 +104,9 @@ func NewCountExactSpec(cfg Config) *CountExactSpec {
 	return p
 }
 
-// converged mirrors CountExact.Converged on a configuration view: every
-// occupied state has a multiplied positive load and all state outputs
-// agree.
+// converged is the desired configuration of Theorem 2 on a
+// configuration view: every occupied state has a multiplied positive
+// load and all state outputs agree.
 func (p *CountExactSpec) converged(v sim.ConfigView) bool {
 	ok, first := true, true
 	var want int64
@@ -120,7 +130,9 @@ func (p *CountExactSpec) converged(v sim.ConfigView) bool {
 }
 
 // Metrics reports the observed variable ranges over a configuration
-// view (the configuration-level analogue of CountExact.Metrics).
+// view, for state accounting (Theorem 2: Õ(n) states — levels
+// O(log log n), i O(1), k ≤ log n + 3, loads O(n²·2^O(1)); see Figure 3
+// and the proof in Appendix F).
 func (p *CountExactSpec) Metrics(v sim.ConfigView) StateMetrics {
 	var m StateMetrics
 	v.ForEach(func(code uint64, _ int64) {

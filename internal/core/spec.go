@@ -3,10 +3,15 @@
 // The four headline protocols — Approximate, CountExact and their
 // stable hybrids — are products of sub-protocols: a junta triplet, an
 // extended phase-clock value, an election record and the counting
-// variables. The spec constructors here derive a sim.Spec from exactly
-// the same rule code the agent-array forms run (the *Rule stepPair
-// methods), so the spec is not a re-implementation but a re-packaging:
-// decode the two state codes, apply stepPair, re-encode.
+// variables. Each protocol's transition rule is written once, as the
+// stepPair method of its *Rule type, and the spec constructors here
+// package it as a sim.Spec: Delta decodes the two state codes, applies
+// stepPair and re-encodes. The spec is the protocol's only runnable
+// form; every engine and experiment runs it. Two test pins hold it to
+// the rule: a reference loop steps a plain agent array with the same
+// stepPair on the engine's pair stream and compares it state by state
+// with the spec agent, and golden results recorded from the agent
+// arrays the package used to export fix where each run stops.
 //
 // State codes are interned (sim.Interner) rather than bit-packed: the
 // product domain does not fit a fixed-width encoding (classical loads
@@ -97,11 +102,22 @@ type ApproximateSpec struct {
 	in   *sim.Interner[approxAgent]
 }
 
-// NewApproximateSpec returns the canonical transition spec of protocol
-// Approximate over cfg. The spec's Delta applies the same stepPair the
-// agent-array form runs, so the derived agent adapter is bit-for-bit
-// the hand-written protocol (pinned by the conformance suite) and the
-// count forms simulate the same chain on the configuration.
+// NewApproximateSpec returns the canonical transition spec of the
+// paper's protocol Approximate (Algorithm 2, Theorem 1.1) over cfg: a
+// uniform protocol after which every agent outputs ⌊log₂ n⌋ or
+// ⌈log₂ n⌉ w.h.p., converging in O(n log² n) interactions with
+// O(log n · log log n) states. An agent's output is its k; 2^k is its
+// population-size estimate.
+//
+// Stage structure per agent (tracked through the flags leaderDone and
+// searchDone): Stage 1 elects a leader with the slow protocol of [GS18];
+// Stage 2 runs the Search Protocol (Algorithm 1), in which the leader
+// performs a linear search over k, injecting 2^k tokens per round and
+// using powers-of-two load balancing to test whether 2^k exceeds ¾·n;
+// Stage 3 broadcasts the leader's final k to every agent.
+//
+// The agent adapter (sim.NewSpecAgent) and the count forms run the
+// same approxRule.stepPair, so every engine simulates one chain.
 func NewApproximateSpec(cfg Config) *ApproximateSpec {
 	rule := newApproxRule(cfg)
 	p := &ApproximateSpec{rule: &rule, in: sim.NewInterner[approxAgent]()}
@@ -156,8 +172,9 @@ func NewApproximateSpec(cfg Config) *ApproximateSpec {
 	return p
 }
 
-// converged mirrors Approximate.Converged on a configuration view:
-// every occupied state finished the search and agrees on a k ≥ 0.
+// converged is the desired configuration of Theorem 1.1 on a
+// configuration view: every occupied state finished the search and
+// agrees on a k ≥ 0.
 func (p *ApproximateSpec) converged(v sim.ConfigView) bool {
 	ok, first := true, true
 	var k int16
@@ -180,7 +197,9 @@ func (p *ApproximateSpec) converged(v sim.ConfigView) bool {
 }
 
 // Metrics reports the observed variable ranges over a configuration
-// view (the configuration-level analogue of Approximate.Metrics).
+// view, for state accounting (Theorem 1.1: O(log n · log log n) states
+// — the only non-constant variables are the junta level and k; see
+// Figure 2).
 func (p *ApproximateSpec) Metrics(v sim.ConfigView) StateMetrics {
 	var m StateMetrics
 	v.ForEach(func(code uint64, _ int64) {

@@ -11,11 +11,7 @@ func TestStableApproximateCleanPath(t *testing.T) {
 	// protocol stabilizes on ⌊log n⌋ or ⌈log n⌉.
 	for _, n := range []int{512, 1000, 2048} {
 		lo, hi := int64(sim.Log2Floor(n)), int64(sim.Log2Ceil(n))
-		p := NewStableApproximate(Config{N: n})
-		res, err := sim.Run(p, sim.Config{Seed: uint64(7 * n)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, res := runAgent(t, NewStableApproximateSpec(Config{N: n}, false).Spec, sim.Config{Seed: uint64(7 * n)})
 		if !res.Converged {
 			t.Fatalf("n=%d: did not converge", n)
 		}
@@ -33,15 +29,10 @@ func TestStableApproximateFaultPath(t *testing.T) {
 	// must deliver exactly ⌊log n⌋.
 	for _, n := range []int{128, 300} {
 		want := int64(sim.Log2Floor(n))
-		p := NewStableApproximate(Config{N: n})
-		p.FaultInjection = true
-		res, err := sim.Run(p, sim.Config{
+		p, res := runAgent(t, NewStableApproximateSpec(Config{N: n}, true).Spec, sim.Config{
 			Seed:            uint64(3 * n),
 			MaxInteractions: int64(n) * int64(n) * 800,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !p.Errored() {
 			t.Fatalf("n=%d: fault was not detected", n)
 		}
@@ -66,11 +57,7 @@ func TestStableApproximateErrorDetectionCorrectsSmallDrift(t *testing.T) {
 	n := 1500
 	lo, hi := int64(sim.Log2Floor(n)), int64(sim.Log2Ceil(n))
 	for trial := 0; trial < 3; trial++ {
-		p := NewStableApproximate(Config{N: n})
-		res, err := sim.Run(p, sim.Config{Seed: uint64(13*n + trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, res := runAgent(t, NewStableApproximateSpec(Config{N: n}, false).Spec, sim.Config{Seed: uint64(13*n + trial)})
 		if !res.Converged {
 			t.Fatalf("trial %d: did not converge", trial)
 		}
@@ -82,11 +69,7 @@ func TestStableApproximateErrorDetectionCorrectsSmallDrift(t *testing.T) {
 
 func TestStableCountExactCleanPath(t *testing.T) {
 	for _, n := range []int{512, 1000, 2048} {
-		p := NewStableCountExact(Config{N: n})
-		res, err := sim.Run(p, sim.Config{Seed: uint64(11 * n)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, res := runAgent(t, NewStableCountExactSpec(Config{N: n}, false).Spec, sim.Config{Seed: uint64(11 * n)})
 		if !res.Converged {
 			t.Fatalf("n=%d: did not converge", n)
 		}
@@ -103,15 +86,10 @@ func TestStableCountExactFaultPath(t *testing.T) {
 	// small; the refinement's pre-multiplication load check must fire
 	// and the exact backup must deliver n with probability 1.
 	for _, n := range []int{128, 300} {
-		p := NewStableCountExact(Config{N: n})
-		p.FaultInjection = true
-		res, err := sim.Run(p, sim.Config{
+		p, res := runAgent(t, NewStableCountExactSpec(Config{N: n}, true).Spec, sim.Config{
 			Seed:            uint64(5 * n),
 			MaxInteractions: int64(n) * int64(n) * 800,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !p.Errored() {
 			t.Fatalf("n=%d: fault was not detected", n)
 		}
@@ -128,8 +106,8 @@ func TestStableCountExactFaultPath(t *testing.T) {
 
 func TestStableVariantsValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewStableApproximate(Config{N: 1}) },
-		func() { NewStableCountExact(Config{N: 1}) },
+		func() { NewStableApproximateSpec(Config{N: 1}, false) },
+		func() { NewStableCountExactSpec(Config{N: 1}, false) },
 	} {
 		func() {
 			defer func() {

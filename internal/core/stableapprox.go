@@ -38,28 +38,10 @@ type stableAgent struct {
 	bkInstance uint8
 }
 
-// StableApproximate is the stable (always correct) hybrid variant of
-// protocol Approximate (Theorem 1.2, Section 3.4 and Appendices B–C).
-//
-// It runs protocol Approximate, replacing the Broadcasting Stage with the
-// ErrorDetection protocol (Algorithm 7): the leader re-injects 2^(k−2)
-// tokens, powers-of-two balancing spreads them, every agent converts its
-// share into 32 classical tokens, classical balancing spreads those, and
-// the leader recomputes k = ⌊k + 3 − log ℓ⌉ from its own balanced load.
-// Any inconsistency — unbalanced piles, too-small loads, discrepancy
-// above 2, phase desynchronization, or two leaders meeting — raises an
-// error flag that spreads by one-way epidemics and switches every agent
-// to a fresh instance of the slow backup protocol, which computes
-// ⌊log n⌋ with probability 1.
-type StableApproximate struct {
-	stableApproxRule
-	ag []stableAgent
-}
-
 // stableApproxRule is the n-independent part of StableApproximate: the
 // configuration and sub-protocol wiring defining the pairwise rule,
-// shared by the agent-array form and the transition spec
-// (NewStableApproximateSpec).
+// which the transition spec (NewStableApproximateSpec) applies to
+// decoded state pairs.
 type stableApproxRule struct {
 	cfg   Config
 	clk   clock.Clock
@@ -89,24 +71,6 @@ func (p *stableApproxRule) initAgent() stableAgent {
 		k:   -1,
 		bk:  backup.InitApprox(),
 	}
-}
-
-// NewStableApproximate returns a fresh instance of the stable protocol.
-func NewStableApproximate(cfg Config) *StableApproximate {
-	p := &StableApproximate{stableApproxRule: newStableApproxRule(cfg)}
-	p.ag = make([]stableAgent, p.cfg.N)
-	for i := range p.ag {
-		p.ag[i] = p.initAgent()
-	}
-	return p
-}
-
-// N returns the population size.
-func (p *StableApproximate) N() int { return p.cfg.N }
-
-// Interact applies one interaction of the stable protocol.
-func (p *StableApproximate) Interact(u, v int, r *rng.Rand) {
-	p.stepPair(&p.ag[u], &p.ag[v], r)
 }
 
 // stepPair applies one interaction of the rule to the pair (a, b) with
@@ -234,7 +198,7 @@ func (p *stableApproxRule) searchStep(a, b *stableAgent) {
 }
 
 // searchBoundary resets a non-leader's k once at phase-0 entry; see the
-// corresponding comment in Approximate.searchBoundary for why the reset
+// corresponding comment in approxRule.searchBoundary for why the reset
 // must not repeat throughout phase 0.
 func (p *stableApproxRule) searchBoundary(w *stableAgent) {
 	if !p.inSearch(w) || w.led.IsLeader || !w.clk.FirstTick {
@@ -411,84 +375,6 @@ func (p *stableApproxRule) edBoundary(w, q *stableAgent) {
 	}
 }
 
-// Output returns agent i's output: the backup instance's result after an
-// error, otherwise the fast path's k.
-func (p *StableApproximate) Output(i int) int64 {
-	w := &p.ag[i]
-	if w.errFlag {
-		return int64(w.bk.KMax)
-	}
-	return int64(w.k)
-}
-
-// Errored reports whether any agent has raised the error flag.
-func (p *StableApproximate) Errored() bool {
-	for i := range p.ag {
-		if p.ag[i].errFlag {
-			return true
-		}
-	}
-	return false
-}
-
-// Converged reports whether the population has stabilized on a common
-// output: either every agent is frozen in phase′ 4 with the same k and no
-// errors, or every agent has switched to the backup instance and the
-// backup has converged to ⌊log n⌋'s configuration.
-func (p *StableApproximate) Converged() bool {
-	if p.ag[0].errFlag {
-		return p.backupConverged()
-	}
-	k := p.ag[0].k
-	for i := range p.ag {
-		w := &p.ag[i]
-		if w.errFlag {
-			return p.backupConverged()
-		}
-		if !w.frozen || w.k != k || k < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// backupConverged mirrors Lemma 12's terminal condition on the fresh
-// backup instance.
-func (p *StableApproximate) backupConverged() bool {
-	n := len(p.ag)
-	var counts [64]int
-	want := int16(sliceLog2Floor(n))
-	for i := range p.ag {
-		w := &p.ag[i]
-		if !w.errFlag || w.bkInstance != 1 {
-			return false
-		}
-		if w.bk.KMax != want {
-			return false
-		}
-		if k := w.bk.K; k >= 0 {
-			counts[k]++
-		}
-	}
-	for i := 0; i <= int(want); i++ {
-		if counts[i] != (n>>uint(i))&1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Leaders returns the number of current leader contenders.
-func (p *StableApproximate) Leaders() int {
-	c := 0
-	for i := range p.ag {
-		if p.ag[i].led.IsLeader {
-			c++
-		}
-	}
-	return c
-}
-
 func absInt16(x int16) int16 {
 	if x < 0 {
 		return -x
@@ -530,12 +416,4 @@ func log2f(x float64) float64 {
 		add /= 2
 	}
 	return float64(n) + frac
-}
-
-func sliceLog2Floor(n int) int {
-	k := -1
-	for v := n; v > 0; v >>= 1 {
-		k++
-	}
-	return k
 }

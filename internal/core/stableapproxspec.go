@@ -26,10 +26,25 @@ type StableApproximateSpec struct {
 }
 
 // NewStableApproximateSpec returns the canonical transition spec of
-// StableApproximate over cfg, derived from the same stepPair the
-// agent-array form runs. faultInject corrupts the leader's k when the
-// search concludes (the rule's FaultInjection knob), forcing the
-// error-detection → backup path.
+// StableApproximate, the stable (always correct) hybrid variant of
+// protocol Approximate (Theorem 1.2, Section 3.4 and Appendices B–C),
+// over cfg.
+//
+// It runs protocol Approximate, replacing the Broadcasting Stage with the
+// ErrorDetection protocol (Algorithm 7): the leader re-injects 2^(k−2)
+// tokens, powers-of-two balancing spreads them, every agent converts its
+// share into 32 classical tokens, classical balancing spreads those, and
+// the leader recomputes k = ⌊k + 3 − log ℓ⌉ from its own balanced load.
+// Any inconsistency — unbalanced piles, too-small loads, discrepancy
+// above 2, phase desynchronization, or two leaders meeting — raises an
+// error flag that spreads by one-way epidemics and switches every agent
+// to a fresh instance of the slow backup protocol, which computes
+// ⌊log n⌋ with probability 1. An agent's output is the backup
+// instance's result after an error, otherwise the fast path's k.
+//
+// faultInject corrupts the leader's k when the search concludes (the
+// rule's FaultInjection knob), forcing the error-detection → backup
+// path.
 func NewStableApproximateSpec(cfg Config, faultInject bool) *StableApproximateSpec {
 	rule := newStableApproxRule(cfg)
 	rule.FaultInjection = faultInject
@@ -98,10 +113,11 @@ func NewStableApproximateSpec(cfg Config, faultInject bool) *StableApproximateSp
 	return p
 }
 
-// converged mirrors StableApproximate.Converged on a configuration
-// view: either every occupied state is frozen with one common k ≥ 0 and
-// no error, or every state runs the fresh backup instance and the
-// backup has reached Lemma 12's terminal configuration.
+// converged reports whether the population has stabilized on a common
+// output, on a configuration view: either every occupied state is
+// frozen in phase′ 4 with one common k ≥ 0 and no error, or every state
+// runs the fresh backup instance and the backup has reached Lemma 12's
+// terminal configuration.
 func (p *StableApproximateSpec) converged(v sim.ConfigView) bool {
 	anyErr := false
 	v.ForEach(func(code uint64, _ int64) {
@@ -132,13 +148,13 @@ func (p *StableApproximateSpec) converged(v sim.ConfigView) bool {
 	return ok && !first
 }
 
-// backupConverged mirrors Lemma 12's terminal condition on the fresh
-// backup instance, over state multiplicities: the pile exponents form
+// backupConverged is Lemma 12's terminal condition on the fresh backup
+// instance, over state multiplicities: the pile exponents form
 // the binary representation of n and every agent's kmax is ⌊log n⌋.
 func (p *StableApproximateSpec) backupConverged(v sim.ConfigView) bool {
 	n := p.rule.cfg.N
 	var counts [64]int64
-	want := int16(sliceLog2Floor(n))
+	want := int16(sim.Log2Floor(n))
 	ok := true
 	v.ForEach(func(code uint64, cnt int64) {
 		if !ok {

@@ -21,8 +21,9 @@ const (
 	stableEquivN         = 1024
 )
 
-func stableMeanAgent(t *testing.T, name string, factory func(int) sim.Protocol, cfg sim.Config) float64 {
+func stableMeanAgent(t *testing.T, name string, spec func() *sim.Spec, cfg sim.Config) float64 {
 	t.Helper()
+	factory := func(int) sim.Protocol { return sim.NewSpecAgent(spec()) }
 	runs, err := sim.RunTrials(factory, stableEquivTrials, cfg, sim.TrialOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatalf("%s agent trials: %v", name, err)
@@ -65,11 +66,11 @@ func checkStableEquivalence(t *testing.T, name string, agent, count float64) {
 	}
 }
 
-func stableEquivalence(t *testing.T, name string, agentFactory func(int) sim.Protocol, spec func() *sim.Spec, cfg sim.Config) {
+func stableEquivalence(t *testing.T, name string, spec func() *sim.Spec, cfg sim.Config) {
 	t.Helper()
 	batched := cfg
 	batched.BatchSteps = true
-	agent := stableMeanAgent(t, name, agentFactory, cfg)
+	agent := stableMeanAgent(t, name, spec, cfg)
 	checkStableEquivalence(t, name, agent, stableMeanCount(t, name, spec, cfg))
 	checkStableEquivalence(t, name+" batched", agent,
 		stableMeanCount(t, name+" batched", spec, batched))
@@ -82,7 +83,6 @@ func TestCoreEngineEquivalenceStableApproximate(t *testing.T) {
 	t.Parallel()
 	cfg := sim.Config{Seed: 0xCE3, CheckEvery: stableEquivN}
 	stableEquivalence(t, "stable-approximate",
-		func(int) sim.Protocol { return core.NewStableApproximate(core.Config{N: stableEquivN}) },
 		func() *sim.Spec { return core.NewStableApproximateSpec(core.Config{N: stableEquivN}, false).Spec },
 		cfg)
 }
@@ -91,7 +91,6 @@ func TestCoreEngineEquivalenceStableCountExact(t *testing.T) {
 	t.Parallel()
 	cfg := sim.Config{Seed: 0xCE4, CheckEvery: stableEquivN}
 	stableEquivalence(t, "stable-exact",
-		func(int) sim.Protocol { return core.NewStableCountExact(core.Config{N: stableEquivN}) },
 		func() *sim.Spec { return core.NewStableCountExactSpec(core.Config{N: stableEquivN}, false).Spec },
 		cfg)
 }

@@ -34,22 +34,9 @@ type stableExactAgent struct {
 	bkInstance uint8
 }
 
-// StableCountExact is the stable (always correct) variant of protocol
-// CountExact (Theorem 2 and Appendix F). On top of the fast path it
-// detects: two concluded leaders meeting, phase-counter divergence during
-// the Refinement Stage, insufficient load before the refinement
-// multiplication (ℓ < 2⁵ − 1.5, meaning the approximation k was too
-// small), disagreeing k values, and arithmetic overflow. Any error
-// switches the population to a fresh instance of the exact backup
-// protocol (Appendix C.2), which outputs n with probability 1.
-type StableCountExact struct {
-	stableExactRule
-	ag []stableExactAgent
-}
-
-// stableExactRule is the n-independent part of StableCountExact,
-// shared by the agent-array form and the transition spec
-// (NewStableCountExactSpec).
+// stableExactRule is the n-independent part of StableCountExact, which
+// the transition spec (NewStableCountExactSpec) applies to decoded
+// state pairs.
 type stableExactRule struct {
 	cfg   Config
 	clk   clock.Clock
@@ -78,35 +65,6 @@ func (p *stableExactRule) initAgent() stableExactAgent {
 		led: p.elect.Init(),
 		bk:  backup.InitExact(),
 	}
-}
-
-// NewStableCountExact returns a fresh instance of the stable protocol.
-func NewStableCountExact(cfg Config) *StableCountExact {
-	p := &StableCountExact{stableExactRule: newStableExactRule(cfg)}
-	p.ag = make([]stableExactAgent, p.cfg.N)
-	for i := range p.ag {
-		p.ag[i] = p.initAgent()
-	}
-	return p
-}
-
-// N returns the population size.
-func (p *StableCountExact) N() int { return p.cfg.N }
-
-func (p *stableExactRule) injectExp(level uint8) int32 {
-	e := int32(1) << level >> uint(p.cfg.Shift)
-	if e < 1 {
-		e = 1
-	}
-	if e > 16 {
-		e = 16
-	}
-	return e
-}
-
-// Interact applies one interaction of the stable protocol.
-func (p *StableCountExact) Interact(u, v int, r *rng.Rand) {
-	p.stepPair(&p.ag[u], &p.ag[v], r)
 }
 
 // stepPair applies one interaction of the rule to the pair (a, b) with
@@ -219,7 +177,7 @@ func (p *stableExactRule) apxBoundary(w *stableExactAgent) {
 	if !p.inApx(w) || !w.clk.FirstTick {
 		return
 	}
-	e := p.injectExp(w.jnt.Level)
+	e := injectExp(w.jnt.Level, p.cfg.Shift)
 	if w.led.IsLeader && w.i == 0 {
 		w.l = 1
 	}
@@ -344,89 +302,4 @@ func (p *stableExactRule) refBoundary(w *stableExactAgent) {
 			w.frozen = true
 		}
 	}
-}
-
-// Output returns agent i's output: the backup's count after an error,
-// otherwise ⌊2^8·2^(2k)/ℓ⌉.
-func (p *StableCountExact) Output(i int) int64 {
-	w := &p.ag[i]
-	if w.errFlag {
-		return w.bk.Count
-	}
-	if !w.refMultiplied || w.l <= 0 {
-		return 0
-	}
-	num := refC << uint(2*w.k)
-	return (num + w.l/2) / w.l
-}
-
-// Errored reports whether any agent has raised the error flag.
-func (p *StableCountExact) Errored() bool {
-	for i := range p.ag {
-		if p.ag[i].errFlag {
-			return true
-		}
-	}
-	return false
-}
-
-// Converged reports whether the population has stabilized: either every
-// agent is frozen after the Refinement Stage with equal outputs and no
-// errors, or every agent runs the fresh backup instance and it has
-// converged (one uncounted agent, all counts equal).
-func (p *StableCountExact) Converged() bool {
-	if p.ag[0].errFlag {
-		return p.backupConverged()
-	}
-	want := p.Output(0)
-	if want == 0 {
-		return false
-	}
-	for i := range p.ag {
-		w := &p.ag[i]
-		if w.errFlag {
-			return p.backupConverged()
-		}
-		if !w.frozen || !w.refMultiplied || w.l <= 0 || p.Output(i) != want {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *StableCountExact) backupConverged() bool {
-	uncounted := 0
-	want := int64(0)
-	for i := range p.ag {
-		w := &p.ag[i]
-		if !w.errFlag || w.bkInstance != 1 {
-			return false
-		}
-		if !w.bk.Counted {
-			uncounted++
-		}
-		if w.bk.Count > want {
-			want = w.bk.Count
-		}
-	}
-	if uncounted != 1 {
-		return false
-	}
-	for i := range p.ag {
-		if p.ag[i].bk.Count != want {
-			return false
-		}
-	}
-	return true
-}
-
-// Leaders returns the number of current leader contenders.
-func (p *StableCountExact) Leaders() int {
-	c := 0
-	for i := range p.ag {
-		if p.ag[i].led.IsLeader {
-			c++
-		}
-	}
-	return c
 }

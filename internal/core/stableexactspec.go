@@ -15,7 +15,8 @@ func canonStableExact(w stableExactAgent) stableExactAgent {
 	return w
 }
 
-// stableExactStateOutput is the state form of StableCountExact.Output.
+// stableExactStateOutput is the output of one decoded StableCountExact
+// state: the backup's count after an error, otherwise ⌊2^8·2^(2k)/ℓ⌉.
 func stableExactStateOutput(w stableExactAgent) int64 {
 	if w.errFlag {
 		return w.bk.Count
@@ -36,9 +37,17 @@ type StableCountExactSpec struct {
 }
 
 // NewStableCountExactSpec returns the canonical transition spec of
-// StableCountExact over cfg, derived from the same stepPair the
-// agent-array form runs. faultInject corrupts the leader's k when the
-// Approximation Stage concludes, forcing the error → backup path.
+// StableCountExact, the stable (always correct) variant of protocol
+// CountExact (Theorem 2 and Appendix F), over cfg. On top of the fast
+// path it detects: two concluded leaders meeting, phase-counter
+// divergence during the Refinement Stage, insufficient load before the
+// refinement multiplication (ℓ < 2⁵ − 1.5, meaning the approximation k
+// was too small), disagreeing k values, and arithmetic overflow. Any
+// error switches the population to a fresh instance of the exact backup
+// protocol (Appendix C.2), which outputs n with probability 1.
+//
+// faultInject corrupts the leader's k when the Approximation Stage
+// concludes, forcing the error → backup path.
 func NewStableCountExactSpec(cfg Config, faultInject bool) *StableCountExactSpec {
 	rule := newStableExactRule(cfg)
 	rule.FaultInjection = faultInject
@@ -101,7 +110,10 @@ func NewStableCountExactSpec(cfg Config, faultInject bool) *StableCountExactSpec
 	return p
 }
 
-// converged mirrors StableCountExact.Converged on a configuration view.
+// converged reports whether the population has stabilized, on a
+// configuration view: either every occupied state is frozen after the
+// Refinement Stage with one common nonzero output and no error, or
+// every state runs the fresh backup instance and it has converged.
 func (p *StableCountExactSpec) converged(v sim.ConfigView) bool {
 	anyErr := false
 	v.ForEach(func(code uint64, _ int64) {
@@ -137,7 +149,7 @@ func (p *StableCountExactSpec) converged(v sim.ConfigView) bool {
 	return ok && !first
 }
 
-// backupConverged mirrors Lemma 13's terminal condition over state
+// backupConverged is Lemma 13's terminal condition over state
 // multiplicities: every agent on the fresh backup instance, exactly one
 // uncounted agent, and all counts equal to the maximum.
 func (p *StableCountExactSpec) backupConverged(v sim.ConfigView) bool {

@@ -8,11 +8,12 @@ import (
 	"popcount/internal/rng"
 )
 
-// mkApprox builds an Approximate instance for unit-testing stage
-// functions directly on synthetic agent states.
-func mkApprox(t *testing.T) *Approximate {
+// mkApprox builds the rule of protocol Approximate for unit-testing
+// stage functions directly on synthetic agent states.
+func mkApprox(t *testing.T) *approxRule {
 	t.Helper()
-	return NewApproximate(Config{N: 8})
+	p := newApproxRule(Config{N: 8})
+	return &p
 }
 
 func TestSearchLeaderInfusion(t *testing.T) {
@@ -130,28 +131,28 @@ func TestSearchBoundaryLeaderKeepsK(t *testing.T) {
 }
 
 func TestBroadcastStageInfection(t *testing.T) {
-	p := NewApproximate(Config{N: 4})
-	// Hand-craft: agent 0 finished the search with k=9, agent 1 fresh.
-	p.ag[0].led.Done = true
-	p.ag[0].led.IsLeader = true
-	p.ag[0].searchDone = true
-	p.ag[0].k = 9
-	p.ag[1].led.Done = true
-	p.ag[1].led.IsLeader = false
+	p := newApproxRule(Config{N: 4})
+	a, b := p.initAgent(), p.initAgent()
+	// Hand-craft: a finished the search with k=9, b fresh.
+	a.led.Done = true
+	a.led.IsLeader = true
+	a.searchDone = true
+	a.k = 9
+	b.led.Done = true
+	b.led.IsLeader = false
 
 	// Give both the same junta level so no re-initialization fires.
-	p.ag[0].jnt = junta.State{Level: 2}
-	p.ag[1].jnt = junta.State{Level: 2}
+	a.jnt = junta.State{Level: 2}
+	b.jnt = junta.State{Level: 2}
 
-	r := newTestRand()
-	p.Interact(0, 1, r)
-	if !p.ag[1].searchDone || p.ag[1].k != 9 {
-		t.Fatalf("broadcast stage did not infect: %+v", p.ag[1])
+	p.stepPair(&a, &b, newTestRand())
+	if !b.searchDone || b.k != 9 {
+		t.Fatalf("broadcast stage did not infect: %+v", b)
 	}
 }
 
 func TestCountExactApxBoundaryFirstPhase(t *testing.T) {
-	p := NewCountExact(Config{N: 8})
+	p := newExactRule(Config{N: 8})
 	w := exactAgent{
 		jnt: junta.State{Level: 6}, // injectExp = 2^6 >> 3 = 8
 		clk: clock.State{FirstTick: true},
@@ -168,7 +169,7 @@ func TestCountExactApxBoundaryFirstPhase(t *testing.T) {
 }
 
 func TestCountExactApxBoundaryConcludes(t *testing.T) {
-	p := NewCountExact(Config{N: 8})
+	p := newExactRule(Config{N: 8})
 	w := exactAgent{
 		jnt: junta.State{Level: 6},
 		clk: clock.State{FirstTick: true},
@@ -191,7 +192,7 @@ func TestCountExactApxBoundaryConcludes(t *testing.T) {
 }
 
 func TestCountExactRefBoundaryInjection(t *testing.T) {
-	p := NewCountExact(Config{N: 8})
+	p := newExactRule(Config{N: 8})
 	c := p.clk
 	w := exactAgent{
 		clk: clock.State{Val: uint16(1 * int(c.M)), FirstTick: true}, // phase idx 1
@@ -209,7 +210,7 @@ func TestCountExactRefBoundaryInjection(t *testing.T) {
 }
 
 func TestCountExactRefBoundaryMultiplication(t *testing.T) {
-	p := NewCountExact(Config{N: 8})
+	p := newExactRule(Config{N: 8})
 	c := p.clk
 	w := exactAgent{
 		clk: clock.State{Val: uint16(2 * int(c.M)), FirstTick: true}, // phase idx 2
@@ -234,7 +235,7 @@ func TestCountExactRefBoundaryMultiplication(t *testing.T) {
 }
 
 func TestRefineBalancingRespectsMultiplicationTag(t *testing.T) {
-	p := NewCountExact(Config{N: 8})
+	p := newExactRule(Config{N: 8})
 	a := exactAgent{led: p.elect.Init(), l: 100, refMultiplied: true}
 	a.led.Done = true
 	a.apxDone = true
@@ -253,16 +254,17 @@ func TestRefineBalancingRespectsMultiplicationTag(t *testing.T) {
 }
 
 func TestCountExactOutputFormula(t *testing.T) {
-	p := NewCountExact(Config{N: 4})
-	p.ag[0].refMultiplied = true
-	p.ag[0].k = 10
+	p := newExactRule(Config{N: 4})
+	w := p.initAgent()
+	w.refMultiplied = true
+	w.k = 10
 	// M = 256·2^20; with n=1000 the balanced load is ≈ 268435.
-	p.ag[0].l = 268435
-	if got := p.Output(0); got != 1000 {
+	w.l = 268435
+	if got := exactStateOutput(w); got != 1000 {
 		t.Fatalf("output = %d, want 1000", got)
 	}
-	p.ag[0].l = 0
-	if got := p.Output(0); got != 0 {
+	w.l = 0
+	if got := exactStateOutput(w); got != 0 {
 		t.Fatalf("output with no load = %d, want 0", got)
 	}
 }

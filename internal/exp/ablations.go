@@ -28,7 +28,7 @@ func A1ClockPeriod(o Options) Table {
 			// engine's generous default.
 			capI := int64(600 * nLog2N(n))
 			outs := runMany(func(int) sim.Protocol {
-				return core.NewApproximate(core.Config{N: n, ClockM: m})
+				return sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: n, ClockM: m}).Spec)
 			}, o.trials(4), sim.Config{Seed: o.Seed + uint64(n*m), MaxInteractions: capI}, o.Parallelism)
 			lo, hi := int64(sim.Log2Floor(n)), int64(sim.Log2Ceil(n))
 			correct := 0
@@ -36,7 +36,7 @@ func A1ClockPeriod(o Options) Table {
 				if !out.res.Converged {
 					continue
 				}
-				if v := out.p.(*core.Approximate).Output(0); v == lo || v == hi {
+				if v := out.p.(*sim.SpecAgent).Output(0); v == lo || v == hi {
 					correct++
 				}
 			}
@@ -64,11 +64,11 @@ func A2Shift(o Options) Table {
 	for _, n := range ns {
 		for _, shift := range []int{1, 2, 3, 4, 5} {
 			outs := runMany(func(int) sim.Protocol {
-				return core.NewCountExact(core.Config{N: n, Shift: shift})
+				return sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n, Shift: shift}).Spec)
 			}, o.trials(4), sim.Config{Seed: o.Seed + uint64(n*shift)}, o.Parallelism)
 			exact := 0
 			for _, out := range outs {
-				if out.res.Converged && allExact(out.p.(*core.CountExact), n) {
+				if out.res.Converged && sim.AllOutputsEqual(out.p, int64(n)) {
 					exact++
 				}
 			}

@@ -242,16 +242,16 @@ func E7Search(o Options) Table {
 	}
 	ns := o.sizes([]int{300, 1000, 3000, 10000}, []int{300, 1500})
 	for _, n := range ns {
-		outs := runMany(func(int) sim.Protocol { return core.NewApproximate(core.Config{N: n}) },
-			o.trials(2), sim.Config{Seed: o.Seed + uint64(n)}, o.Parallelism)
+		outs := runMany(func(int) sim.Protocol {
+			return sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: n}).Spec)
+		}, o.trials(2), sim.Config{Seed: o.Seed + uint64(n)}, o.Parallelism)
 		okWindow := 0
 		var ratios []float64
 		for _, out := range outs {
 			if !out.res.Converged {
 				continue
 			}
-			p := out.p.(*core.Approximate)
-			est := float64(p.Estimate(0))
+			est := float64(approxEstimate(out.p.(*sim.SpecAgent).Output(0)))
 			ratios = append(ratios, est/float64(n))
 			if est > 0.75*float64(n) && est <= math.Pow(2, float64(sim.Log2Ceil(n))) {
 				okWindow++
@@ -265,11 +265,11 @@ func E7Search(o Options) Table {
 
 // E8Approximate reproduces Theorem 1.1: protocol Approximate outputs
 // ⌊log n⌋ or ⌈log n⌉ w.h.p. within O(n log² n) interactions using
-// O(log n · log log n) states. Since the spec port, every engine column
-// derives from the one core.NewApproximateSpec rule: the agent rows run
-// the spec's agent adapter (bit-for-bit the hand-written protocol), the
-// count and batched rows the spec's count form — the batched column
-// reaches n = 10⁸, three orders of magnitude past the agent engine.
+// O(log n · log log n) states. Every engine column derives from the one
+// core.NewApproximateSpec rule: the agent rows run the spec's agent
+// adapter, the count and batched rows the spec's count form — the
+// batched column reaches n = 10⁸, three orders of magnitude past the
+// agent engine.
 func E8Approximate(o Options) Table {
 	o = o.withDefaults()
 	tbl := Table{
@@ -575,15 +575,22 @@ func CountExactSuite(o Options) (e10, e11, e12 Table) {
 	var fitN []int
 	var fitT []float64
 	for _, n := range ns {
-		outs := runMany(func(int) sim.Protocol { return core.NewCountExact(core.Config{N: n}) },
-			o.trials(2), sim.Config{Seed: o.Seed + uint64(7*n)}, o.Parallelism)
+		specs := make([]*core.CountExactSpec, o.trials(2))
+		outs := runMany(func(tr int) sim.Protocol {
+			specs[tr] = core.NewCountExactSpec(core.Config{N: n})
+			return sim.NewSpecAgent(specs[tr].Spec)
+		}, len(specs), sim.Config{Seed: o.Seed + uint64(7*n)}, o.Parallelism)
+		metrics := make([]core.StateMetrics, len(outs))
+		for i, out := range outs {
+			metrics[i] = specs[i].Metrics(out.p.(*sim.SpecAgent).View())
+		}
 
 		// E10: quality of the approximation k.
 		logn := math.Log2(float64(n))
 		okK := 0
 		minD, maxD := math.Inf(1), math.Inf(-1)
-		for _, out := range outs {
-			d := float64(out.p.(*core.CountExact).Metrics().MaxK) - logn
+		for _, m := range metrics {
+			d := float64(m.MaxK) - logn
 			if d < minD {
 				minD = d
 			}
@@ -600,12 +607,11 @@ func CountExactSuite(o Options) (e10, e11, e12 Table) {
 		// E11 and E12: exactness, time and state usage.
 		exact := 0
 		var maxLoadRatio float64
-		for _, out := range outs {
-			p := out.p.(*core.CountExact)
-			if out.res.Converged && allExact(p, n) {
+		for i, out := range outs {
+			if out.res.Converged && sim.AllOutputsEqual(out.p, int64(n)) {
 				exact++
 			}
-			if r := float64(p.Metrics().MaxLoad) / (float64(n) * float64(n)); r > maxLoadRatio {
+			if r := float64(metrics[i].MaxLoad) / (float64(n) * float64(n)); r > maxLoadRatio {
 				maxLoadRatio = r
 			}
 		}
@@ -725,12 +731,14 @@ func E15Baselines(o Options) Table {
 		trials := o.trials(2)
 		bag := runMany(func(int) sim.Protocol { return baseline.NewTokenBag(n) },
 			trials, sim.Config{Seed: o.Seed + uint64(n), MaxInteractions: int64(n) * int64(n) * 200}, o.Parallelism)
-		exact := runMany(func(int) sim.Protocol { return core.NewCountExact(core.Config{N: n}) },
-			trials, sim.Config{Seed: o.Seed + uint64(2*n)}, o.Parallelism)
+		exact := runMany(func(int) sim.Protocol {
+			return sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n}).Spec)
+		}, trials, sim.Config{Seed: o.Seed + uint64(2*n)}, o.Parallelism)
 		geo := runMany(func(int) sim.Protocol { return sim.NewSpecAgent(baseline.NewGeometricSpec(n)) },
 			trials, sim.Config{Seed: o.Seed + uint64(3*n)}, o.Parallelism)
-		apx := runMany(func(int) sim.Protocol { return core.NewApproximate(core.Config{N: n}) },
-			trials, sim.Config{Seed: o.Seed + uint64(4*n)}, o.Parallelism)
+		apx := runMany(func(int) sim.Protocol {
+			return sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: n}).Spec)
+		}, trials, sim.Config{Seed: o.Seed + uint64(4*n)}, o.Parallelism)
 
 		bagT := meanInteractions(bag)
 		exactT := meanInteractions(exact)
@@ -743,7 +751,7 @@ func E15Baselines(o Options) Table {
 		}
 		for _, out := range apx {
 			if out.res.Converged {
-				apxErr = append(apxErr, math.Abs(float64(out.p.(*core.Approximate).Output(0))-logn))
+				apxErr = append(apxErr, math.Abs(float64(out.p.(*sim.SpecAgent).Output(0))-logn))
 			}
 		}
 		speedup := "n/a"
@@ -841,12 +849,11 @@ func boolToInt64(b bool) int64 {
 	return 0
 }
 
-// allExact reports whether every agent of p outputs exactly n.
-func allExact(p *core.CountExact, n int) bool {
-	for i := 0; i < n; i++ {
-		if p.Output(i) != int64(n) {
-			return false
-		}
+// approxEstimate converts protocol Approximate's output k into the
+// population-size estimate 2^k (0 while the agent is still empty).
+func approxEstimate(k int64) int64 {
+	if k < 0 {
+		return 0
 	}
-	return true
+	return int64(1) << uint(k)
 }

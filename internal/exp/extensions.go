@@ -36,14 +36,14 @@ func E16SchedulerRobustness(o Options) Table {
 			correct := 0
 			trials := o.trials(4)
 			outs := runManySched(func(int) sim.Protocol {
-				return core.NewApproximate(core.Config{N: n})
+				return sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: n}).Spec)
 			}, trials, sim.Config{Seed: o.Seed + uint64(n)}, o.Parallelism, sc.factory)
 			lo, hi := int64(sim.Log2Floor(n)), int64(sim.Log2Ceil(n))
 			for _, out := range outs {
 				if !out.res.Converged {
 					continue
 				}
-				if v := out.p.(*core.Approximate).Output(0); v == lo || v == hi {
+				if v := out.p.(*sim.SpecAgent).Output(0); v == lo || v == hi {
 					correct++
 				}
 			}
@@ -53,10 +53,10 @@ func E16SchedulerRobustness(o Options) Table {
 			// CountExact.
 			correct = 0
 			outs = runManySched(func(int) sim.Protocol {
-				return core.NewCountExact(core.Config{N: n})
+				return sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n}).Spec)
 			}, trials, sim.Config{Seed: o.Seed + uint64(2*n)}, o.Parallelism, sc.factory)
 			for _, out := range outs {
-				if out.res.Converged && out.p.(*core.CountExact).Output(0) == int64(n) {
+				if out.res.Converged && out.p.(*sim.SpecAgent).Output(0) == int64(n) {
 					correct++
 				}
 			}

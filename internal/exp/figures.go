@@ -125,11 +125,11 @@ func F3EstimateTrajectory(o Options) Series {
 	if len(o.Sizes) > 0 {
 		n = o.Sizes[0]
 	}
-	p := core.NewApproximate(core.Config{N: n})
+	p := sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: n}).Spec)
 	s := sample(p, o.Seed, int64(200*nLog2N(n)/10), int64(4*n),
 		[]string{"agent0_estimate", "true_n"},
 		func() []float64 {
-			return []float64{float64(p.Estimate(0)), float64(n)}
+			return []float64{float64(approxEstimate(p.Output(0))), float64(n)}
 		})
 	s.ID, s.Title = "F3", fmt.Sprintf("search staircase of protocol Approximate, n=%d", n)
 	return s
@@ -144,7 +144,7 @@ func F4ExactSettling(o Options) Series {
 	if len(o.Sizes) > 0 {
 		n = o.Sizes[0]
 	}
-	ce := core.NewCountExact(core.Config{N: n})
+	ce := sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n}).Spec)
 	bag := baseline.NewTokenBag(n)
 	rCE := rng.New(o.Seed)
 	rBag := rng.New(o.Seed + 1)

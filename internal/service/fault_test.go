@@ -1,6 +1,8 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -49,6 +51,50 @@ func TestFaultedJobEndToEnd(t *testing.T) {
 	stPlain, _ := submit(t, hs.URL, plain)
 	if stPlain.ID == st.ID {
 		t.Fatal("faulted and fault-free requests share a fingerprint")
+	}
+}
+
+// TestFaultInjectionJob pins a fault_injection job end to end on the
+// case of the root package's TestFaultInjectionEngagesBackup: the field
+// reaches the stable protocol as the fault plan's CorruptSearch knob
+// (the run differs from the same request without it), and the
+// fingerprint and the result document's bytes are the recorded ones, so
+// cache keys and cached documents carry over.
+func TestFaultInjectionJob(t *testing.T) {
+	_, hs := testServer(t, Config{})
+	run := func(req JobRequest) (string, []byte, ResultDoc) {
+		t.Helper()
+		st, code := submit(t, hs.URL, req)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit status %d", code)
+		}
+		waitState(t, hs.URL, st.ID, JobDone)
+		body := getResult(t, hs.URL, st.ID)
+		var doc ResultDoc
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Trials) != 1 || !doc.Trials[0].Converged || doc.Trials[0].Output != 7 {
+			t.Fatalf("%+v: result %+v, want one converged trial with output ⌊log₂ 128⌋ = 7", req, doc.Trials)
+		}
+		return st.ID, body, doc
+	}
+	req := JobRequest{Algorithm: "stable-approximate", N: 128, Seed: 7, FaultInjection: true}
+	id, body, doc := run(req)
+	if want := "1ad2d1db7590cbcf53f0e22e03d3f9f7d91768464bd4fc11e23752e0dfc25f2f"; id != want {
+		t.Errorf("fingerprint %s, recorded %s", id, want)
+	}
+	sum := sha256.Sum256(body)
+	if got, want := hex.EncodeToString(sum[:]), "8cccc716f7a9473110dddafecda202dffc8321448179b9540273bee5f77d369d"; got != want {
+		t.Errorf("result document SHA-256 %s, recorded %s:\n%s", got, want, body)
+	}
+
+	plain := req
+	plain.FaultInjection = false
+	_, _, plainDoc := run(plain)
+	if doc.Trials[0].Interactions == plainDoc.Trials[0].Interactions {
+		t.Fatalf("fault_injection run took %d interactions, the same as without it: the field did not reach the protocol",
+			doc.Trials[0].Interactions)
 	}
 }
 

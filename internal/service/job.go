@@ -249,15 +249,12 @@ func (r JobRequest) Options() []popcount.Option {
 		mkSched, _, _ := popcount.ParseSchedulerSpec(r.Scheduler)
 		opts = append(opts, popcount.WithScheduler(mkSched))
 	}
-	if r.Faults != nil {
-		// Canonicalized requests carry only parseable plans.
+	if r.Faults != nil || r.FaultInjection {
+		// Canonicalized requests carry only parseable plans. The
+		// fault_injection field is the plan's CorruptSearch knob.
 		plan, _ := r.Faults.Plan()
+		plan.CorruptSearch = r.FaultInjection
 		opts = append(opts, popcount.WithFaults(plan))
-	}
-	if r.FaultInjection {
-		// Applied after WithFaults: the plan replaces the whole fault
-		// state, the legacy knob only raises CorruptSearch on top.
-		opts = append(opts, popcount.WithFaultInjection())
 	}
 	return opts
 }

@@ -278,15 +278,6 @@ func WithInterrupt(fn func() bool) Option {
 	return func(s *settings) { s.interrupt = fn }
 }
 
-// WithFaultInjection corrupts the search result of the stable protocol
-// variants (StableApproximate, StableCountExact), forcing their
-// error-detection → backup pipeline to engage — a demonstration and
-// testing knob for the machinery of Theorem 1.2 and Appendix F. Other
-// algorithms ignore it. It is a thin alias for the FaultPlan's
-// CorruptSearch knob; schedule dynamic faults — corruption bursts,
-// churn, adversarial scheduling — with WithFaults.
-func WithFaultInjection() Option { return func(s *settings) { s.faults.CorruptSearch = true } }
-
 // Result reports the outcome of a completed simulation.
 type Result struct {
 	// Converged reports whether the protocol reached its desired
@@ -410,9 +401,10 @@ func specFor(alg Algorithm, n int, set settings) (*sim.Spec, bool) {
 }
 
 // newProtocol builds the agent-engine protocol instance for alg over n
-// agents: the spec-derived agent adapter for spec-backed algorithms
-// (bit-for-bit the hand-written composed protocols, pinned by the
-// conformance suite), the hand-written TokenBag otherwise.
+// agents: the spec-derived agent adapter for spec-backed algorithms —
+// the only form of the composed protocols, held to their rules state by
+// state by internal/core's reference loop — and the hand-written
+// TokenBag otherwise.
 func newProtocol(alg Algorithm, n int, set settings) (sim.Protocol, error) {
 	if err := validate(alg, n); err != nil {
 		return nil, err
