@@ -344,3 +344,76 @@ func decodeStableExact(b []byte) (stableExactAgent, error) {
 	w.bkInstance = d.u8()
 	return w, d.done()
 }
+
+// Interner hashes (sim.NewInterner), one per agent layout. Each packs
+// the fields its encoder above writes into a few words, injectively,
+// and folds the words in with mixWord; a field added to an agent struct
+// and its encoder must be added to its hash too, or
+// TestStateHashCoverage fails.
+
+// mixWord folds word v into hash h. A step is a bijection of h for a
+// fixed v and of v for a fixed h, so states that differ in one word
+// always hash apart, and the xor-shift carries the product's high bits
+// down into the low bits the interner's index takes its slot from.
+func mixWord(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// juntaClockWord packs a junta and a clock state into one word.
+func juntaClockWord(j junta.State, c clock.State) uint64 {
+	return uint64(j.Level) | b2u(j.Active)<<8 | b2u(j.Junta)<<9 | b2u(c.FirstTick)<<10 |
+		uint64(c.Val)<<16 | uint64(c.Phase)<<32
+}
+
+// slowLedWord packs a slow-election state but its outer clock's Val.
+func slowLedWord(s leader.State) uint64 {
+	return b2u(s.IsLeader) | b2u(s.Done)<<1 | b2u(s.Outer.FirstTick)<<2 |
+		uint64(s.Bit)<<8 | uint64(s.SeenMax)<<16 | uint64(s.Tag)<<24 | uint64(s.Outer.Phase)<<32
+}
+
+// fastLedWord packs a fast-election state but its Val, leaving bits 2–7
+// free for the caller's flags and bits 24–63 for its bytes and words.
+func fastLedWord(s leader.FastState) uint64 {
+	return b2u(s.IsLeader) | b2u(s.Done)<<1 | uint64(s.Tag)<<8 | uint64(s.Phases)<<16
+}
+
+func hashApprox(w approxAgent) uint64 {
+	h := mixWord(0, juntaClockWord(w.jnt, w.clk))
+	h = mixWord(h, slowLedWord(w.led))
+	return mixWord(h, uint64(w.led.Outer.Val)|uint64(uint16(w.k))<<16|b2u(w.searchDone)<<32)
+}
+
+func hashExact(w exactAgent) uint64 {
+	h := mixWord(0, juntaClockWord(w.jnt, w.clk))
+	h = mixWord(h, w.led.Val)
+	h = mixWord(h, fastLedWord(w.led)|b2u(w.apxDone)<<2|b2u(w.refEntered)<<3|b2u(w.refInjected)<<4|
+		b2u(w.refMultiplied)<<5|b2u(w.overflow)<<6|uint64(w.refAnchor)<<24|uint64(uint32(w.i))<<32)
+	h = mixWord(h, uint64(uint32(w.k)))
+	return mixWord(h, uint64(w.l))
+}
+
+func hashStableApprox(w stableAgent) uint64 {
+	h := mixWord(0, juntaClockWord(w.jnt, w.clk))
+	h = mixWord(h, slowLedWord(w.led))
+	h = mixWord(h, uint64(w.led.Outer.Val)|uint64(uint16(w.k))<<16|b2u(w.searchDone)<<32|
+		b2u(w.frozen)<<33|b2u(w.errFlag)<<34|uint64(w.edAnchor)<<40|uint64(w.edPhase)<<48|uint64(w.bkInstance)<<56)
+	return mixWord(h, uint64(uint16(w.l))|uint64(uint16(w.bk.K))<<16|uint64(uint16(w.bk.KMax))<<32)
+}
+
+func hashStableExact(w stableExactAgent) uint64 {
+	h := mixWord(0, juntaClockWord(w.jnt, w.clk))
+	h = mixWord(h, w.led.Val)
+	h = mixWord(h, fastLedWord(w.led)|b2u(w.apxDone)<<2|b2u(w.refEntered)<<3|b2u(w.refInjected)<<4|
+		b2u(w.refMultiplied)<<5|b2u(w.frozen)<<6|b2u(w.errFlag)<<7|uint64(w.refAnchor)<<24|uint64(uint32(w.i))<<32)
+	h = mixWord(h, uint64(uint32(w.k))|uint64(w.bkInstance)<<32|b2u(w.bk.Counted)<<40)
+	h = mixWord(h, uint64(w.l))
+	return mixWord(h, uint64(w.bk.Count))
+}

@@ -52,7 +52,7 @@ type CountExactSpec struct {
 // (see DESIGN.md).
 func NewCountExactSpec(cfg Config) *CountExactSpec {
 	rule := newExactRule(cfg)
-	p := &CountExactSpec{rule: &rule, in: sim.NewInterner[exactAgent]()}
+	p := &CountExactSpec{rule: &rule, in: sim.NewInterner(hashExact)}
 	initCode := p.in.Code(canonExact(rule.initAgent()))
 	p.Spec = &sim.Spec{
 		Name: "exact",
@@ -97,9 +97,9 @@ func NewCountExactSpec(cfg Config) *CountExactSpec {
 		},
 	}
 	// Memoize the deterministic fragment on interned codes (see
-	// sim.DeltaMemo). CountExact's load alphabet is Õ(n), so the memo's
-	// table outgrows the L2 cache, and most repeats are answered by the
-	// window in front of it, which follows the occupied front.
+	// sim.DeltaMemo). CountExact's load alphabet is Õ(n), but the
+	// occupied front is narrow, so the memo's window answers most
+	// repeats and re-resolves the rare evicted pair.
 	p.Spec.MemoizeDelta()
 	return p
 }

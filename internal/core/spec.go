@@ -120,7 +120,7 @@ type ApproximateSpec struct {
 // same approxRule.stepPair, so every engine simulates one chain.
 func NewApproximateSpec(cfg Config) *ApproximateSpec {
 	rule := newApproxRule(cfg)
-	p := &ApproximateSpec{rule: &rule, in: sim.NewInterner[approxAgent]()}
+	p := &ApproximateSpec{rule: &rule, in: sim.NewInterner(hashApprox)}
 	initCode := p.in.Code(canonApprox(rule.initAgent()))
 	p.Spec = &sim.Spec{
 		Name: "approximate",

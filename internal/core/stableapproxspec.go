@@ -48,7 +48,7 @@ type StableApproximateSpec struct {
 func NewStableApproximateSpec(cfg Config, faultInject bool) *StableApproximateSpec {
 	rule := newStableApproxRule(cfg)
 	rule.FaultInjection = faultInject
-	p := &StableApproximateSpec{rule: &rule, in: sim.NewInterner[stableAgent]()}
+	p := &StableApproximateSpec{rule: &rule, in: sim.NewInterner(hashStableApprox)}
 	initCode := p.in.Code(canonStableApprox(rule.initAgent()))
 	p.Spec = &sim.Spec{
 		Name: "stable-approximate",

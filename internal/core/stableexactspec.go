@@ -51,7 +51,7 @@ type StableCountExactSpec struct {
 func NewStableCountExactSpec(cfg Config, faultInject bool) *StableCountExactSpec {
 	rule := newStableExactRule(cfg)
 	rule.FaultInjection = faultInject
-	p := &StableCountExactSpec{rule: &rule, in: sim.NewInterner[stableExactAgent]()}
+	p := &StableCountExactSpec{rule: &rule, in: sim.NewInterner(hashStableExact)}
 	initCode := p.in.Code(canonStableExact(rule.initAgent()))
 	p.Spec = &sim.Spec{
 		Name: "stable-exact",

@@ -10,7 +10,7 @@ import (
 // the count forms used to trail it ~2× because every Delta call paid
 // struct decode + rule + canonicalize + two interner lookups. The
 // code-indexed successor memo (sim.DeltaMemo) collapses repeat
-// resolutions to one integer-table probe, so the count and batched
+// resolutions to one window lookup, so the count and batched
 // columns here gate the memo's reason to exist: interactions/s on the
 // count engine roughly doubles against the pre-memo baseline while
 // every deterministic counter (trials, interactions, delta calls,

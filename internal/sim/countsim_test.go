@@ -235,6 +235,7 @@ func BenchmarkCountStep(b *testing.B) {
 		b.Skip("whole-run benchmark")
 	}
 	const steps = 3 << 20
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e, err := sim.NewCountEngine(sim.NewSpecCount(core.NewCountExactSpec(core.Config{N: 1 << 11}).Spec), sim.Config{Seed: 1})
 		if err != nil {
@@ -254,6 +255,7 @@ func BenchmarkAgentStep(b *testing.B) {
 		b.Skip("whole-run benchmark")
 	}
 	const steps = 3 << 20
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e, err := sim.NewEngine(sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: 1 << 11}).Spec), sim.Config{Seed: 1})
 		if err != nil {

@@ -26,6 +26,14 @@
 // (Converged, Output, tests) must go through the same Interner that
 // produced them, which is why each spec constructor owns one.
 //
+// An Interner finds a state's code through an open-addressed index over
+// its own states slice, not a Go map: the slice is the one copy of each
+// state, and an index slot is one word, the state's hash tag above its
+// code+1. The spec supplies the hash (NewInterner), mixing the fields
+// its state codec writes, which costs a few multiplies where a map would
+// hash the struct's bytes generically, and growing the index re-hashes
+// the stored states instead of moving a second copy of each.
+//
 // An Interner is not safe for concurrent use. Spec constructors are
 // called once per trial (every trial builds a fresh spec), so engine
 // parallelism never shares one. Intra-run sharding (countshard.go) gets
@@ -38,30 +46,89 @@ package sim
 // Interner assigns dense uint64 codes to product states in first-sight
 // order. The zero value is not ready for use; call NewInterner.
 type Interner[S comparable] struct {
-	// codes stores code+1 so the zero value of a map read means "not
-	// interned": the hit path of Code is a single one-return map access
-	// (mapaccess1) instead of the comma-ok form, and the miss path is
-	// one access plus one insert — hashing the (large) product struct
-	// once per path where the comma-ok + insert sequence hashed it
-	// twice on miss.
-	codes  map[S]uint64
+	hash   func(S) uint64
 	states []S
+
+	// index is the open-addressed index over states: a slot holds
+	// hash&^internCodeMask | code+1, zero marks it empty, and a probe
+	// compares states only where the hash tags agree. Linear probing,
+	// power-of-two size, grown past 3/4 load.
+	index []uint64
 }
 
-// NewInterner returns an empty interner.
-func NewInterner[S comparable]() *Interner[S] {
-	return &Interner[S]{codes: make(map[S]uint64)}
+const (
+	// internCodeMask selects the code+1 half of an index slot; the
+	// other half is the top 32 bits of the state's hash.
+	internCodeMask = 1<<32 - 1
+
+	// internInitialSlots is a fresh index's size: 128 bytes, so
+	// building a spec allocates nothing large.
+	internInitialSlots = 16
+)
+
+// NewInterner returns an empty interner that indexes states by hash,
+// which must give equal states equal hashes. The more of the fields ==
+// compares it mixes, and the better it spreads both its top 32 bits
+// (the slot's tag) and its low bits (the slot), the shorter the probes.
+func NewInterner[S comparable](hash func(S) uint64) *Interner[S] {
+	return &Interner[S]{hash: hash, index: make([]uint64, internInitialSlots)}
 }
 
 // Code returns the state's code, assigning the next free one on first
 // sight.
-func (in *Interner[S]) Code(s S) uint64 {
-	if c := in.codes[s]; c != 0 {
-		return c - 1
+func (in *Interner[S]) Code(s S) uint64 { return in.code(s, in.hash(s)) }
+
+// find returns the code of s, whose hash is h, or the empty index slot
+// where s belongs.
+func (in *Interner[S]) find(s S, h uint64) (c, slot uint64, ok bool) {
+	mask := uint64(len(in.index) - 1)
+	tag := h &^ internCodeMask
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := in.index[i]
+		if e == 0 {
+			return 0, i, false
+		}
+		if e&^internCodeMask == tag && in.states[e&internCodeMask-1] == s {
+			return e&internCodeMask - 1, 0, true
+		}
+	}
+}
+
+// code is Code with the hash already computed.
+func (in *Interner[S]) code(s S, h uint64) uint64 {
+	c, slot, ok := in.find(s, h)
+	if ok {
+		return c
+	}
+	if uint64(len(in.states)) == internCodeMask-1 {
+		panic("sim: interner holds 2³²−1 states")
 	}
 	in.states = append(in.states, s)
-	in.codes[s] = uint64(len(in.states)) // code+1; see the field comment
+	in.index[slot] = h&^internCodeMask | uint64(len(in.states))
+	if 4*len(in.states) > 3*len(in.index) {
+		in.grow()
+	}
 	return uint64(len(in.states)) - 1
+}
+
+// grow doubles the index and re-hashes every stored state into it.
+func (in *Interner[S]) grow() {
+	in.index = make([]uint64, 2*len(in.index))
+	mask := uint64(len(in.index) - 1)
+	for k, s := range in.states {
+		h := in.hash(s)
+		i := h & mask
+		for in.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		in.index[i] = h&^internCodeMask | uint64(k+1)
+	}
+}
+
+// reset empties the interner, keeping its storage.
+func (in *Interner[S]) reset() {
+	in.states = in.states[:0]
+	clear(in.index)
 }
 
 // Recode returns Code(s) for a successor s of the state coded was,
@@ -118,10 +185,11 @@ type InternGroup[S comparable] struct {
 // frozen base first, misses are assigned provisional codes private to
 // the view. A view must only be used by one goroutine per round.
 type InternView[S comparable] struct {
-	base  *Interner[S]
-	tag   uint64
-	codes map[S]uint64
-	order []S
+	base *Interner[S]
+	tag  uint64
+	// own interns the view's fresh states; a provisional code is tag
+	// above the state's code in own.
+	own Interner[S]
 }
 
 // ShardViews returns a group of k concurrent views over the base
@@ -135,9 +203,9 @@ func ShardViews[S comparable](in *Interner[S], k int) *InternGroup[S] {
 	}
 	for i := range g.views {
 		g.views[i] = InternView[S]{
-			base:  in,
-			tag:   internProvisionalBit | uint64(i)<<internProvisionalShift,
-			codes: make(map[S]uint64),
+			base: in,
+			tag:  internProvisionalBit | uint64(i)<<internProvisionalShift,
+			own:  *NewInterner(in.hash),
 		}
 	}
 	return g
@@ -148,20 +216,14 @@ func (g *InternGroup[S]) View(i int) *InternView[S] { return &g.views[i] }
 
 // Code returns the state's code: the canonical one when the base
 // already interned it, the view's provisional one otherwise (assigning
-// on first sight within the view). Both map reads use the zero-means-
-// missing trick: base codes are stored +1, and provisional codes always
-// carry the tag bit, so neither is ever zero.
+// on first sight within the view). The state is hashed once for both
+// lookups; the base's is a read, safe beside the other views' reads.
 func (v *InternView[S]) Code(s S) uint64 {
-	if c := v.base.codes[s]; c != 0 {
-		return c - 1
-	}
-	if c := v.codes[s]; c != 0 {
+	h := v.base.hash(s)
+	if c, _, ok := v.base.find(s, h); ok {
 		return c
 	}
-	c := v.tag | uint64(len(v.order))
-	v.codes[s] = c
-	v.order = append(v.order, s)
-	return c
+	return v.tag | v.own.code(s, h)
 }
 
 // Recode is Interner.Recode on the view: was may be a base code or one
@@ -180,7 +242,7 @@ func (v *InternView[S]) Recode(s S, was uint64) uint64 {
 // mix at the serial merge, after Reconcile has rewritten them).
 func (v *InternView[S]) State(c uint64) S {
 	if c&internProvisionalBit != 0 {
-		return v.order[c&internProvisionalMask]
+		return v.own.State(c & internProvisionalMask)
 	}
 	return v.base.State(c)
 }
@@ -199,13 +261,12 @@ func (g *InternGroup[S]) Reconcile() map[uint64]uint64 {
 	any := false
 	for i := range g.views {
 		v := &g.views[i]
-		for k, s := range v.order {
+		for k, s := range v.own.states {
 			g.remap[v.tag|uint64(k)] = g.base.Code(s)
 			any = true
 		}
-		if len(v.order) > 0 {
-			clear(v.codes)
-			v.order = v.order[:0]
+		if v.own.Len() > 0 {
+			v.own.reset()
 		}
 	}
 	if !any {

@@ -9,7 +9,7 @@ import (
 
 // TestDeltaMemoCachesDeterministic pins the memo's core promise: a
 // deterministic pair's closure runs exactly once, every repeat is a
-// table hit with identical successors.
+// window hit with identical successors.
 func TestDeltaMemoCachesDeterministic(t *testing.T) {
 	calls := 0
 	m := sim.NewDeltaMemo(func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
@@ -131,70 +131,150 @@ func TestDeltaMemoWideSuccessors(t *testing.T) {
 	}
 }
 
-// TestDeltaMemoWindow drives the direct-mapped window in front of the
-// probe table. Initiators 5, 69 and 133 and responders 9, 73 and 137
-// agree mod 64, so all nine pairs share one window cell: alternating
-// them evicts and refills it on every call, through Delta and DeltaDet
-// alike. Every answer must equal the closure's, and each deterministic
-// pair must reach the closure exactly once. Randomized pairs in the
-// same cell call through every time, as do a pair with wide successors
-// and a shard-provisional initiator — whose key, with its tag bit
-// shifted out, would alias (5, 9) if it reached the window.
+// TestDeltaMemoWindow pins the window's rule: a window miss classifies
+// the pair again, and a deterministic pair evicted from its cell is
+// resolved again through the closure, with the same successors and no
+// new interner code. Initiators 5, 69 and 133 and responders 9, 73 and
+// 137 agree mod 64, so all nine deterministic pairs share one cell and
+// cycling through them, via Delta and DeltaDet alike, misses on every
+// call. A randomized pair's classification stays cached in its cell
+// while the cell holds it; a pair with wide successors and a
+// shard-provisional initiator — whose key, with its tag bit shifted
+// out, would alias (5, 9) — call through every time.
 func TestDeltaMemoWindow(t *testing.T) {
-	const wideCode = 197 // 197 mod 64 = 5: the same window row
-	wide := uint64(1) << 40
-	closure := func(qu, qv uint64) (uint64, uint64) {
-		if qu == wideCode {
-			return wide, qv
-		}
-		return qv + 1, qu + 2
+	in := sim.NewInterner(func(p fuzzProduct) uint64 { return hashWords(p.q, p.salt) })
+	for q := uint64(0); q < 200; q++ {
+		in.Code(fuzzProduct{q: q})
 	}
+	const wideCode = 197 // 197 mod 64 = 5: the cell row of 5, 69 and 133
+	wide := uint64(1) << 40
+	provisional := uint64(1)<<63 | 5
 	calls := make(map[[2]uint64]int)
+	classified := make(map[[2]uint64]int)
 	m := sim.NewDeltaMemo(func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
 		calls[[2]uint64{qu, qv}]++
-		return closure(qu, qv)
-	}, func(qu, qv uint64) bool { return qv == 10 })
-	provisional := uint64(1)<<63 | 5
-	det := [][2]uint64{}
+		switch qu {
+		case provisional:
+			return qu, qv
+		case wideCode:
+			return wide, qv
+		}
+		return in.Code(fuzzProduct{q: in.State(qv).q + 1000}), in.Code(fuzzProduct{q: in.State(qu).q + 2000})
+	}, func(qu, qv uint64) bool {
+		classified[[2]uint64{qu, qv}]++
+		return qv%64 == 10
+	})
+
+	var det [][2]uint64
 	for _, qu := range []uint64{5, 69, 133} {
 		for _, qv := range []uint64{9, 73, 137} {
 			det = append(det, [2]uint64{qu, qv})
 		}
 	}
-	through := [][2]uint64{{5, 10}, {69, 10}, {wideCode, 9}, {provisional, 9}}
+	want := make(map[[2]uint64][2]uint64)
+	for _, pr := range det {
+		a, b := m.Delta(pr[0], pr[1], rng.New(1))
+		want[pr] = [2]uint64{a, b}
+	}
+	states := in.Len()
+	if states != 200+3+3 {
+		t.Fatalf("first resolutions interned %d states, want %d", states-200, 6)
+	}
+
 	const rounds = 20
 	for round := 0; round < rounds; round++ {
-		for k, pr := range append(det, through...) {
+		for k, pr := range det {
 			qu, qv := pr[0], pr[1]
-			wa, wb := closure(qu, qv)
-			if (round+k)%2 == 0 || qv == 10 {
-				if a, b := m.Delta(qu, qv, rng.New(1)); a != wa || b != wb {
-					t.Fatalf("round %d: Delta(%#x, %d) = (%#x, %#x), want (%#x, %#x)", round, qu, qv, a, b, wa, wb)
+			w := want[pr]
+			if (round+k)%2 == 0 {
+				if a, b := m.Delta(qu, qv, rng.New(1)); a != w[0] || b != w[1] {
+					t.Fatalf("round %d: Delta(%d, %d) = (%d, %d), want %v", round, qu, qv, a, b, w)
 				}
-				continue
+			} else if a, b, ok := m.DeltaDet(qu, qv); !ok || a != w[0] || b != w[1] {
+				t.Fatalf("round %d: DeltaDet(%d, %d) = (%d, %d, %v), want %v", round, qu, qv, a, b, ok, w)
 			}
-			if a, b, ok := m.DeltaDet(qu, qv); !ok || a != wa || b != wb {
-				t.Fatalf("round %d: DeltaDet(%#x, %d) = (%#x, %#x, %v), want (%#x, %#x, true)", round, qu, qv, a, b, ok, wa, wb)
+			if in.Len() != states {
+				t.Fatalf("round %d: re-resolving (%d, %d) interned %d new states", round, qu, qv, in.Len()-states)
 			}
 		}
 	}
 	for _, pr := range det {
-		if c := calls[pr]; c != 1 {
-			t.Fatalf("deterministic pair %v reached the closure %d times, want 1", pr, c)
+		if c := calls[pr]; c != 1+rounds {
+			t.Fatalf("evicted pair %v reached the closure %d times, want %d (a miss on every call)", pr, c, 1+rounds)
 		}
 	}
-	for _, pr := range through {
-		if c := calls[pr]; c != rounds {
-			t.Fatalf("pair (%#x, %d) reached the closure %d times, want %d", pr[0], pr[1], c, rounds)
-		}
+
+	// A pair met twice in a row is answered by its cell the second time.
+	hit := det[0]
+	before := calls[hit]
+	for i := 0; i < 3; i++ {
+		m.Delta(hit[0], hit[1], nil)
 	}
-	if _, _, ok := m.DeltaDet(5, 10); ok {
+	if got := calls[hit] - before; got != 1 {
+		t.Fatalf("three consecutive calls of %v reached the closure %d times, want 1", hit, got)
+	}
+
+	// Randomized pairs: classified once per stay in the cell, resolved
+	// through the closure on every call. (5, 10) and (69, 74) share a
+	// cell, so alternating them reclassifies.
+	rnd, rival := [2]uint64{5, 10}, [2]uint64{69, 74}
+	for i := 0; i < 5; i++ {
+		m.Delta(rnd[0], rnd[1], rng.New(1))
+	}
+	if !m.Randomized(rnd[0], rnd[1]) {
+		t.Fatal("Randomized(5, 10) = false, want true")
+	}
+	if _, _, ok := m.DeltaDet(rnd[0], rnd[1]); ok {
 		t.Fatal("DeltaDet on a randomized pair reported deterministic")
 	}
-	// The nine window pairs, two randomized ones and the wide one; the
-	// provisional pair is never stored.
-	if got, want := m.Pairs(), len(det)+3; got != want {
-		t.Fatalf("Pairs() = %d, want %d", got, want)
+	if calls[rnd] != 5 || classified[rnd] != 1 {
+		t.Fatalf("randomized pair in its cell: %d closure calls and %d classifications, want 5 and 1", calls[rnd], classified[rnd])
+	}
+	m.Delta(rival[0], rival[1], rng.New(1))
+	m.Delta(rnd[0], rnd[1], rng.New(1))
+	if classified[rnd] != 2 {
+		t.Fatalf("randomized pair classified %d times after an eviction, want 2", classified[rnd])
+	}
+	states = in.Len() // randomized call-throughs intern their successors
+
+	// Wide successors and provisional codes call through every time.
+	wp := [2]uint64{wideCode, 9}
+	for i := 0; i < 3; i++ {
+		if a, b := m.Delta(wp[0], wp[1], nil); a != wide || b != 9 {
+			t.Fatalf("wide Delta = (%#x, %d), want (%#x, 9)", a, b, wide)
+		}
+		if a, _, ok := m.DeltaDet(wp[0], wp[1]); !ok || a != wide {
+			t.Fatalf("wide DeltaDet = (%#x, ok=%v), want (%#x, true)", a, ok, wide)
+		}
+	}
+	if m.Randomized(wp[0], wp[1]) {
+		t.Fatal("wide deterministic pair classified randomized")
+	}
+	if calls[wp] != 6 || classified[wp] != 1 {
+		t.Fatalf("wide pair: %d closure calls and %d classifications, want 6 and 1", calls[wp], classified[wp])
+	}
+	m.Delta(hit[0], hit[1], nil) // evicts the wide pair, refills (5, 9)
+	before = calls[hit]
+	for i := 0; i < 3; i++ {
+		if a, b := m.Delta(provisional, 9, nil); a != provisional || b != 9 {
+			t.Fatalf("provisional Delta = (%#x, %d)", a, b)
+		}
+	}
+	if a, b := m.Delta(hit[0], hit[1], nil); a != want[hit][0] || b != want[hit][1] || calls[hit] != before {
+		t.Fatalf("(5, 9) after provisional calls: (%d, %d) with %d closure calls, want %v from its cell", a, b, calls[hit]-before, want[hit])
+	}
+	if c := calls[[2]uint64{provisional, 9}]; c != 3 {
+		t.Fatalf("provisional pair reached the closure %d times, want 3", c)
+	}
+	runs := 0
+	for _, c := range classified {
+		runs += c
+	}
+	if m.Pairs() != runs {
+		t.Fatalf("Pairs() = %d, want %d (one per window miss, each running the predicate)", m.Pairs(), runs)
+	}
+	if in.Len() != states {
+		t.Fatalf("wide and provisional call-throughs grew the interner from %d to %d states", states, in.Len())
 	}
 }
 
@@ -245,7 +325,7 @@ func internedFuzzSpec(n int, k uint64, raw []byte, flags uint8) (*sim.Spec, *sim
 	// mod 64: the memo's window cells collide and evict. A state the
 	// initial configuration leaves empty is interned later, on first
 	// sight.
-	in := sim.NewInterner[fuzzProduct]()
+	in := sim.NewInterner(func(p fuzzProduct) uint64 { return hashWords(p.q, p.salt) })
 	filler := uint64(0)
 	fill := func(q uint64) {
 		for i := 31 + 32*int(at(3*size+int(q))&1); i > 0; i-- {

@@ -192,7 +192,7 @@ type Spec struct {
 
 	// Memo, set by MemoizeDelta, is the code-indexed successor memo the
 	// Delta and Randomized fields resolve through. The adapters use it
-	// to answer DeltaDet and derived self-loop queries in one probe
+	// to answer DeltaDet and derived self-loop queries in one lookup
 	// instead of a classify + resolve pair. It is derived state — never
 	// serialized into snapshots, rebuilt lazily on restore.
 	Memo *DeltaMemo
@@ -219,8 +219,8 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("sim: Spec %q sets both PureDelta and ShardDelta", s.Name)
 	}
 	if s.PureDelta && s.Memo != nil {
-		// The memo writes its table on first resolutions, so a memoized
-		// Delta is never safe to call concurrently.
+		// The memo writes its window on every miss, so a memoized Delta
+		// is never safe to call concurrently.
 		return fmt.Errorf("sim: Spec %q sets PureDelta on a memoized Delta", s.Name)
 	}
 	if s.Layout != nil && s.InitSample != nil {
@@ -257,8 +257,8 @@ func (s *Spec) selfLoop(qu, qv uint64) bool {
 
 // MemoizeDelta routes the spec's Delta and Randomized through a
 // code-indexed successor memo (see DeltaMemo): repeated deterministic
-// resolutions become one table probe, bit-for-bit equivalent to the raw
-// closures. Call it last in a spec constructor, after Delta and
+// resolutions become one window lookup, bit-for-bit equivalent to the
+// raw closures. Call it last in a spec constructor, after Delta and
 // Randomized are set. Interned product-state specs are the intended
 // users; the memo assumes Randomized is a pure function of the code
 // pair with no interning side effects.
