@@ -6,6 +6,7 @@ import (
 	"popcount/internal/junta"
 	"popcount/internal/leader"
 	"popcount/internal/rng"
+	"popcount/internal/sim"
 )
 
 // maxSearchK caps the search variable k (load exponents never approach it
@@ -21,6 +22,88 @@ type approxAgent struct {
 	led        leader.State
 	k          int16
 	searchDone bool
+}
+
+// canonApprox canonicalizes one Approximate agent state for interning.
+func canonApprox(w approxAgent) approxAgent {
+	w.clk = canonClock(w.clk)
+	w.led = canonSlowLed(w.led)
+	return w
+}
+
+// ApproximateSpec couples protocol Approximate's transition spec with
+// its state codec, so configuration-level consumers (experiments,
+// tests) can decode what the engines report.
+type ApproximateSpec struct {
+	interned[approxAgent]
+	rule *approxRule
+}
+
+// NewApproximateSpec returns the canonical transition spec of the
+// paper's protocol Approximate (Algorithm 2, Theorem 1.1) over cfg: a
+// uniform protocol after which every agent outputs ⌊log₂ n⌋ or
+// ⌈log₂ n⌉ w.h.p., converging in O(n log² n) interactions with
+// O(log n · log log n) states. An agent's output is its k; 2^k is its
+// population-size estimate.
+//
+// Stage structure per agent (tracked through the flags leaderDone and
+// searchDone): Stage 1 elects a leader with the slow protocol of [GS18];
+// Stage 2 runs the Search Protocol (Algorithm 1), in which the leader
+// performs a linear search over k, injecting 2^k tokens per round and
+// using powers-of-two load balancing to test whether 2^k exceeds ¾·n;
+// Stage 3 broadcasts the leader's final k to every agent.
+//
+// The agent adapter (sim.NewSpecAgent) and the count forms run the
+// same approxRule.stepPair, so every engine simulates one chain.
+func NewApproximateSpec(cfg Config) *ApproximateSpec {
+	rule := newApproxRule(cfg)
+	p := &ApproximateSpec{rule: &rule}
+	p.interned = newInterned(protocol[approxAgent]{
+		name:      "approximate",
+		n:         rule.cfg.N,
+		hash:      hashApprox,
+		init:      rule.initAgent(),
+		canon:     canonApprox,
+		step:      rule.step,
+		output:    func(w approxAgent) int64 { return int64(w.k) },
+		encode:    encodeApprox,
+		decode:    decodeApprox,
+		converged: p.converged,
+	}, func(in *sim.Interner[approxAgent]) (deltaFunc, claimFunc) {
+		delta := func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
+			a, b := in.State(qu), in.State(qv)
+			rule.stepPair(&a, &b, r)
+			return in.Recode(canonApprox(a), qu), in.Recode(canonApprox(b), qv)
+		}
+		return delta, func(qu, qv uint64) bool { return rule.pairDrawsCoins(in.State(qu), in.State(qv)) }
+	})
+	return p
+}
+
+// converged is the desired configuration of Theorem 1.1 on a
+// configuration view: every occupied state finished the search and
+// agrees on a k ≥ 0.
+func (p *ApproximateSpec) converged(v sim.ConfigView) bool {
+	k, ok := p.agree(v, func(w approxAgent) (int64, bool) { return int64(w.k), w.searchDone })
+	return ok && k >= 0
+}
+
+// Metrics reports the observed variable ranges over a configuration
+// view, for state accounting (Theorem 1.1: O(log n · log log n) states
+// — the only non-constant variables are the junta level and k; see
+// Figure 2).
+func (p *ApproximateSpec) Metrics(v sim.ConfigView) StateMetrics {
+	var m StateMetrics
+	v.ForEach(func(code uint64, _ int64) {
+		s := p.in.State(code)
+		if l := int(s.jnt.Level); l > m.MaxLevel {
+			m.MaxLevel = l
+		}
+		if k := int(s.k); k > m.MaxK {
+			m.MaxK = k
+		}
+	})
+	return m
 }
 
 // approxRule is the n-independent part of protocol Approximate: the
@@ -56,27 +139,8 @@ func (p *approxRule) initAgent() approxAgent {
 // stepPair applies one interaction of the rule to the pair (a, b) with
 // initiator a.
 func (p *approxRule) stepPair(a, b *approxAgent, r *rng.Rand) {
-	// Line 3: junta process, with re-initialization (line 1–2) of every
-	// agent whose level changed. The paper resets an agent's phase clock,
-	// leader election and Search Protocol state when it encounters a
-	// higher junta level; each junta level conceptually runs its own
-	// protocol instance, so an agent also starts from a clean state when
-	// it climbs to a new level itself ("all agents eventually run the
-	// phase clocks and the leader election process based on the junta on
-	// the highest level" — without resetting climbers, the top-level
-	// junta would carry clock state accumulated while everyone was still
-	// driving the clock, and leaderDone could fire prematurely).
-	preA, preB := a.jnt.Level, b.jnt.Level
-	junta.Interact(&a.jnt, &b.jnt)
-	if a.jnt.Level != preA {
-		p.reinit(a, b, preB)
-	}
-	if b.jnt.Level != preB {
-		p.reinit(b, a, preA)
-	}
-
-	// Line 4: phase clocks.
-	p.clk.Tick(&a.clk, &b.clk, a.jnt.Junta, b.jnt.Junta)
+	// Lines 1–4: junta, re-initialization, phase clocks.
+	p.prefix(a, b)
 
 	// Line 5–6, Stage 1: leader election while not leaderDone.
 	if !a.led.Done || !b.led.Done {
@@ -95,6 +159,58 @@ func (p *approxRule) stepPair(a, b *approxAgent, r *rng.Rand) {
 		a.searchDone = true
 		a.k = b.k
 	}
+}
+
+// prefix applies the deterministic head of an interaction, which
+// stepPair runs and pairDrawsCoins dry-runs.
+func (p *approxRule) prefix(a, b *approxAgent) {
+	p.climb(a, b)
+	// Line 4: phase clocks.
+	p.clk.Tick(&a.clk, &b.clk, a.jnt.Junta, b.jnt.Junta)
+}
+
+// climb runs the junta process (line 3) and re-initializes (lines 1–2)
+// every agent whose level changed, reporting which did. The paper
+// resets an agent's phase clock, leader election and Search Protocol
+// state when it encounters a higher junta level; each junta level
+// conceptually runs its own protocol instance, so an agent also starts
+// from a clean state when it climbs to a new level itself ("all agents
+// eventually run the phase clocks and the leader election process based
+// on the junta on the highest level" — without resetting climbers, the
+// top-level junta would carry clock state accumulated while everyone
+// was still driving the clock, and leaderDone could fire prematurely).
+func (p *approxRule) climb(a, b *approxAgent) (movedA, movedB bool) {
+	preA, preB := a.jnt.Level, b.jnt.Level
+	junta.Interact(&a.jnt, &b.jnt)
+	movedA, movedB = a.jnt.Level != preA, b.jnt.Level != preB
+	if movedA {
+		p.reinit(a, b, preB)
+	}
+	if movedB {
+		p.reinit(b, a, preA)
+	}
+	return movedA, movedB
+}
+
+// pairDrawsCoins reports whether an interaction of the pair (a, b)
+// consumes synthetic coins: after the deterministic prefix, a
+// still-contending, not-yet-done endpoint crossing a phase boundary
+// draws its per-phase election coin. Conservative like the leader
+// spec's predicate: a contender that the boundary would retire before
+// drawing is still claimed.
+func (p *approxRule) pairDrawsCoins(a, b approxAgent) bool {
+	p.prefix(&a, &b)
+	return slowDraws(&a) || slowDraws(&b)
+}
+
+// slowDraws reports whether w, after the prefix, draws the slow
+// election's per-phase coin.
+func slowDraws(w *approxAgent) bool { return w.clk.FirstTick && !w.led.Done && w.led.IsLeader }
+
+// step is stepPair on values, for the spec's shard closures.
+func (p *approxRule) step(a, b approxAgent, r *rng.Rand) (approxAgent, approxAgent) {
+	p.stepPair(&a, &b, r)
+	return a, b
 }
 
 // reinit re-initializes agent w's phase clock, leader election and Search

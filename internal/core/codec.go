@@ -211,26 +211,35 @@ func decBackupExact(d *stateDec) (s backup.ExactState) {
 	return s
 }
 
-// Agent-state layouts, one per headline protocol.
+// Agent-state layouts, one per headline protocol; StableApproximate's
+// begins with Approximate's.
 
-func encodeApprox(w approxAgent) []byte {
-	e := &stateEnc{}
+func encApprox(e *stateEnc, w approxAgent) {
 	encJunta(e, w.jnt)
 	encClock(e, w.clk)
 	encSlowLed(e, w.led)
 	e.i16(w.k)
 	e.bool(w.searchDone)
-	return e.buf
 }
 
-func decodeApprox(b []byte) (approxAgent, error) {
-	d := &stateDec{buf: b}
-	var w approxAgent
+func decApprox(d *stateDec) (w approxAgent) {
 	w.jnt = decJunta(d)
 	w.clk = decClock(d)
 	w.led = decSlowLed(d)
 	d.i16(&w.k)
 	w.searchDone = d.bool()
+	return w
+}
+
+func encodeApprox(w approxAgent) []byte {
+	e := &stateEnc{}
+	encApprox(e, w)
+	return e.buf
+}
+
+func decodeApprox(b []byte) (approxAgent, error) {
+	d := &stateDec{buf: b}
+	w := decApprox(d)
 	return w, d.done()
 }
 
@@ -271,11 +280,7 @@ func decodeExact(b []byte) (exactAgent, error) {
 
 func encodeStableApprox(w stableAgent) []byte {
 	e := &stateEnc{}
-	encJunta(e, w.jnt)
-	encClock(e, w.clk)
-	encSlowLed(e, w.led)
-	e.i16(w.k)
-	e.bool(w.searchDone)
+	encApprox(e, w.approxAgent)
 	e.u8(w.edAnchor)
 	e.u8(w.edPhase)
 	e.i16(w.l)
@@ -289,11 +294,7 @@ func encodeStableApprox(w stableAgent) []byte {
 func decodeStableApprox(b []byte) (stableAgent, error) {
 	d := &stateDec{buf: b}
 	var w stableAgent
-	w.jnt = decJunta(d)
-	w.clk = decClock(d)
-	w.led = decSlowLed(d)
-	d.i16(&w.k)
-	w.searchDone = d.bool()
+	w.approxAgent = decApprox(d)
 	w.edAnchor = d.u8()
 	w.edPhase = d.u8()
 	d.i16(&w.l)
@@ -401,11 +402,9 @@ func hashExact(w exactAgent) uint64 {
 }
 
 func hashStableApprox(w stableAgent) uint64 {
-	h := mixWord(0, juntaClockWord(w.jnt, w.clk))
-	h = mixWord(h, slowLedWord(w.led))
-	h = mixWord(h, uint64(w.led.Outer.Val)|uint64(uint16(w.k))<<16|b2u(w.searchDone)<<32|
-		b2u(w.frozen)<<33|b2u(w.errFlag)<<34|uint64(w.edAnchor)<<40|uint64(w.edPhase)<<48|uint64(w.bkInstance)<<56)
-	return mixWord(h, uint64(uint16(w.l))|uint64(uint16(w.bk.K))<<16|uint64(uint16(w.bk.KMax))<<32)
+	h := mixWord(hashApprox(w.approxAgent), b2u(w.frozen)|b2u(w.errFlag)<<1|uint64(w.edAnchor)<<8|
+		uint64(w.edPhase)<<16|uint64(w.bkInstance)<<24|uint64(uint16(w.l))<<32)
+	return mixWord(h, uint64(uint16(w.bk.K))|uint64(uint16(w.bk.KMax))<<16)
 }
 
 func hashStableExact(w stableExactAgent) uint64 {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math/bits"
+
 	"popcount/internal/balance"
 	"popcount/internal/clock"
 	"popcount/internal/junta"
 	"popcount/internal/leader"
 	"popcount/internal/rng"
+	"popcount/internal/sim"
 )
 
 // refC is the constant factor 2^8 with which the Refinement Stage
@@ -31,6 +34,106 @@ type exactAgent struct {
 	refInjected   bool // leader only: 2^8·2^k injected
 	refMultiplied bool // this agent multiplied its load by 2^k
 	overflow      bool // a load multiplication would have overflowed int64
+}
+
+// canonExact canonicalizes one CountExact agent state for interning.
+func canonExact(w exactAgent) exactAgent {
+	w.clk = canonClock(w.clk)
+	w.led = canonFastLed(w.led)
+	return w
+}
+
+// exactStateOutput is the output of one decoded CountExact state.
+func exactStateOutput(w exactAgent) int64 { return refinedCount(w.refMultiplied, w.k, w.l) }
+
+// refinedCount is the output function ω(v) = ⌊2^8·2^(2k)/ℓ⌉ of an agent
+// whose Refinement Stage holds (multiplied, k, ℓ): its estimate of the
+// exact population size, 0 while it has no multiplied load.
+func refinedCount(multiplied bool, k int32, l int64) int64 {
+	if !multiplied || l <= 0 {
+		return 0
+	}
+	return (refC<<uint(2*k) + l/2) / l
+}
+
+// CountExactSpec couples protocol CountExact's transition spec with its
+// state codec.
+type CountExactSpec struct {
+	interned[exactAgent]
+	rule *exactRule
+}
+
+// NewCountExactSpec returns the canonical transition spec of the
+// paper's protocol CountExact (Algorithm 3, Theorem 2) over cfg: a
+// uniform protocol after which every agent outputs the exact population
+// size n, stabilizing in O(n log n) interactions with Õ(n) states.
+//
+// Stage structure: Stage 1 elects a leader with FastLeaderElection
+// (Lemma 7); Stage 2 (Approximation Stage, Algorithm 4) computes
+// k = log n ± 3 by repeated load explosion and classical load balancing;
+// Stage 3 (Refinement Stage, Algorithm 5) injects 2^8·2^k tokens,
+// balances them, multiplies all loads by 2^k and balances again, after
+// which every agent computes n exactly as ⌊2^8·2^(2k)/ℓ⌉.
+//
+// Unlike the building-block specs, the state space is not
+// constant-size: classical loads make the alphabet Õ(n), so codes are
+// interned over the occupied fragment. The count forms therefore scale
+// with the number of distinct loads in flight — far beyond agent-array
+// memory at equal n, but not to the n = 10⁹ of the skip-path protocols
+// (see DESIGN.md). The occupied front is narrow, so the Delta memo's
+// window answers most repeats and re-resolves the rare evicted pair.
+func NewCountExactSpec(cfg Config) *CountExactSpec {
+	rule := newExactRule(cfg)
+	p := &CountExactSpec{rule: &rule}
+	p.interned = newInterned(protocol[exactAgent]{
+		name:      "exact",
+		n:         rule.cfg.N,
+		hash:      hashExact,
+		init:      rule.initAgent(),
+		canon:     canonExact,
+		step:      rule.step,
+		output:    exactStateOutput,
+		encode:    encodeExact,
+		decode:    decodeExact,
+		converged: p.converged,
+	}, func(in *sim.Interner[exactAgent]) (deltaFunc, claimFunc) {
+		delta := func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
+			a, b := in.State(qu), in.State(qv)
+			rule.stepPair(&a, &b, r)
+			return in.Recode(canonExact(a), qu), in.Recode(canonExact(b), qv)
+		}
+		return delta, func(qu, qv uint64) bool { return rule.pairDrawsCoins(in.State(qu), in.State(qv)) }
+	})
+	return p
+}
+
+// converged is the desired configuration of Theorem 2 on a
+// configuration view: every occupied state has a multiplied positive
+// load and all state outputs agree.
+func (p *CountExactSpec) converged(v sim.ConfigView) bool {
+	_, ok := p.agree(v, func(w exactAgent) (int64, bool) { return exactStateOutput(w), w.refMultiplied && w.l > 0 })
+	return ok
+}
+
+// Metrics reports the observed variable ranges over a configuration
+// view, for state accounting (Theorem 2: Õ(n) states — levels
+// O(log log n), i O(1), k ≤ log n + 3, loads O(n²·2^O(1)); see Figure 3
+// and the proof in Appendix F).
+func (p *CountExactSpec) Metrics(v sim.ConfigView) StateMetrics {
+	var m StateMetrics
+	v.ForEach(func(code uint64, _ int64) {
+		s := p.in.State(code)
+		if l := int(s.jnt.Level); l > m.MaxLevel {
+			m.MaxLevel = l
+		}
+		if k := int(s.k); k > m.MaxK {
+			m.MaxK = k
+		}
+		if s.l > m.MaxLoad {
+			m.MaxLoad = s.l
+		}
+	})
+	return m
 }
 
 // exactRule is the n-independent part of protocol CountExact: the
@@ -79,20 +182,8 @@ func injectExp(level uint8, shift int) int32 {
 // stepPair applies one interaction of the rule to the pair (a, b) with
 // initiator a.
 func (p *exactRule) stepPair(a, b *exactAgent, r *rng.Rand) {
-	// Line 3: junta process, with re-initialization (line 1–2) of every
-	// agent whose level changed — see the corresponding comment in
-	// approxRule.stepPair for why climbers reset too.
-	preA, preB := a.jnt.Level, b.jnt.Level
-	junta.Interact(&a.jnt, &b.jnt)
-	if a.jnt.Level != preA {
-		p.reinit(a, b, preB)
-	}
-	if b.jnt.Level != preB {
-		p.reinit(b, a, preA)
-	}
-
-	// Line 4: phase clocks.
-	p.clk.Tick(&a.clk, &b.clk, a.jnt.Junta, b.jnt.Junta)
+	// Lines 1–4: junta, re-initialization, phase clocks.
+	p.prefix(a, b)
 
 	// Line 5–6, Stage 1: FastLeaderElection while not leaderDone.
 	if !a.led.Done || !b.led.Done {
@@ -104,6 +195,45 @@ func (p *exactRule) stepPair(a, b *exactAgent, r *rng.Rand) {
 
 	// Line 9–10, Stage 3: Refinement Stage.
 	p.refineStep(a, b)
+}
+
+// prefix applies the deterministic head of an interaction, which
+// stepPair runs and pairDrawsCoins dry-runs: the junta process with
+// re-initialization of every agent whose level changed (see
+// approxRule.climb for why climbers reset too), then the phase clocks.
+func (p *exactRule) prefix(a, b *exactAgent) {
+	preA, preB := a.jnt.Level, b.jnt.Level
+	junta.Interact(&a.jnt, &b.jnt)
+	if a.jnt.Level != preA {
+		p.reinit(a, b, preB)
+	}
+	if b.jnt.Level != preB {
+		p.reinit(b, a, preA)
+	}
+	p.clk.Tick(&a.clk, &b.clk, a.jnt.Junta, b.jnt.Junta)
+}
+
+// pairDrawsCoins reports whether an interaction of the pair (a, b)
+// consumes synthetic coins. FastLeaderElection samples only when a
+// still-contending, not-yet-done agent crosses a phase boundary into an
+// even (sampling) phase — the predicate re-derives the boundary from a
+// dry run of the deterministic prefix and is exact, not conservative:
+// odd-phase boundaries and non-contenders draw nothing.
+func (p *exactRule) pairDrawsCoins(a, b exactAgent) bool {
+	p.prefix(&a, &b)
+	return p.fastDraws(a.clk, a.led) || p.fastDraws(b.clk, b.led)
+}
+
+// fastDraws reports whether an agent with clock c and election record
+// led, after the prefix, draws the fast election's samples.
+func (p *exactRule) fastDraws(c clock.State, led leader.FastState) bool {
+	return c.FirstTick && !led.Done && led.IsLeader && p.clk.PhaseIdx(c)%2 == 0
+}
+
+// step is stepPair on values, for the spec's shard closures.
+func (p *exactRule) step(a, b exactAgent, r *rng.Rand) (exactAgent, exactAgent) {
+	p.stepPair(&a, &b, r)
+	return a, b
 }
 
 func (p *exactRule) reinit(w, q *exactAgent, qPreLevel uint8) {
@@ -159,7 +289,7 @@ func (p *exactRule) apxBoundary(w *exactAgent) {
 		// Line 4–6: the total load reached ≥ 2n w.h.p.; conclude with
 		// k = i·e − ⌊log ℓ⌋ ( = log of total load minus log of the
 		// per-agent share, i.e. ≈ log n).
-		k := w.i*e - int32(log2Floor64(w.l))
+		k := w.i*e - int32(bits.Len64(uint64(w.l))-1)
 		if k < 0 {
 			k = 0
 		}
@@ -253,13 +383,4 @@ func (p *exactRule) refBoundary(w *exactAgent) {
 			}
 		}
 	}
-}
-
-// log2Floor64 returns ⌊log₂ x⌋ for x ≥ 1.
-func log2Floor64(x int64) int {
-	k := -1
-	for ; x > 0; x >>= 1 {
-		k++
-	}
-	return k
 }

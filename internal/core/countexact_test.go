@@ -135,15 +135,3 @@ func TestInjectExpBounds(t *testing.T) {
 func exactOverflowed(p *CountExactSpec, v sim.ConfigView) bool {
 	return countStates(p.in, v, func(s exactAgent) bool { return s.overflow }) > 0
 }
-
-func TestLog2Floor64(t *testing.T) {
-	cases := []struct {
-		x    int64
-		want int
-	}{{1, 0}, {2, 1}, {3, 1}, {4, 2}, {1023, 9}, {1024, 10}}
-	for _, c := range cases {
-		if got := log2Floor64(c.x); got != c.want {
-			t.Errorf("log2Floor64(%d) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}

@@ -57,7 +57,7 @@ func TestApproximateReinitAdoptsAuthorityClock(t *testing.T) {
 }
 
 func TestStableApproximateRaiseIdempotent(t *testing.T) {
-	p := newStableApproxRule(Config{N: 4})
+	p := NewStableApproximateSpec(Config{N: 4}, false).rule
 	w := p.initAgent()
 	p.raise(&w)
 	if !w.errFlag || w.bkInstance != 1 {
@@ -71,7 +71,7 @@ func TestStableApproximateRaiseIdempotent(t *testing.T) {
 }
 
 func TestStableApproximateTwoLeadersDetected(t *testing.T) {
-	p := newStableApproxRule(Config{N: 4})
+	p := NewStableApproximateSpec(Config{N: 4}, false).rule
 	a, b := p.initAgent(), p.initAgent()
 	for _, w := range []*stableAgent{&a, &b} {
 		w.led.Done = true
@@ -85,7 +85,7 @@ func TestStableApproximateTwoLeadersDetected(t *testing.T) {
 }
 
 func TestStableApproximateEDPhaseDesyncDetected(t *testing.T) {
-	p := newStableApproxRule(Config{N: 4})
+	p := NewStableApproximateSpec(Config{N: 4}, false).rule
 	a, b := p.initAgent(), p.initAgent()
 	for _, w := range []*stableAgent{&a, &b} {
 		w.led.Done = true
@@ -101,7 +101,7 @@ func TestStableApproximateEDPhaseDesyncDetected(t *testing.T) {
 }
 
 func TestStableApproximateEDBalancingErrorDetected(t *testing.T) {
-	p := newStableApproxRule(Config{N: 4})
+	p := NewStableApproximateSpec(Config{N: 4}, false).rule
 	a, b := p.initAgent(), p.initAgent()
 	for _, w := range []*stableAgent{&a, &b} {
 		w.led.Done = true
@@ -117,7 +117,7 @@ func TestStableApproximateEDBalancingErrorDetected(t *testing.T) {
 }
 
 func TestStableApproximateEDPileTooLargeDetected(t *testing.T) {
-	p := newStableApproxRule(Config{N: 4})
+	p := NewStableApproximateSpec(Config{N: 4}, false).rule
 	w, q := p.initAgent(), p.initAgent()
 	w.led.Done = true
 	w.led.IsLeader = false
@@ -132,7 +132,7 @@ func TestStableApproximateEDPileTooLargeDetected(t *testing.T) {
 }
 
 func TestStableCountExactKDisagreementDetected(t *testing.T) {
-	p := newStableExactRule(Config{N: 4})
+	p := NewStableCountExactSpec(Config{N: 4}, false).rule
 	a, b := p.initAgent(), p.initAgent()
 	for _, w := range []*stableExactAgent{&a, &b} {
 		w.led.Done = true
@@ -148,7 +148,7 @@ func TestStableCountExactKDisagreementDetected(t *testing.T) {
 }
 
 func TestStableCountExactUnderloadDetected(t *testing.T) {
-	p := newStableExactRule(Config{N: 4})
+	p := NewStableCountExactSpec(Config{N: 4}, false).rule
 	w := p.initAgent()
 	w.led.Done = true
 	w.led.IsLeader = false

@@ -4,14 +4,29 @@
 // stable hybrids — are products of sub-protocols: a junta triplet, an
 // extended phase-clock value, an election record and the counting
 // variables. Each protocol's transition rule is written once, as the
-// stepPair method of its *Rule type, and the spec constructors here
-// package it as a sim.Spec: Delta decodes the two state codes, applies
-// stepPair and re-encodes. The spec is the protocol's only runnable
-// form; every engine and experiment runs it. Two test pins hold it to
-// the rule: a reference loop steps a plain agent array with the same
-// stepPair on the engine's pair stream and compares it state by state
-// with the spec agent, and golden results recorded from the agent
-// arrays the package used to export fix where each run stops.
+// stepPair method of its *Rule type, and one generic constructor,
+// newInterned, packages it as a sim.Spec over an interner of its
+// product states. The constructor builds every field from what the
+// protocol supplies (name, size, hash, initial state, canon, output,
+// error flag, codec, convergence predicate); the protocol writes only
+// the two closures the Delta memo calls on a window miss, Delta and
+// Randomized, with direct calls to its rule, because a state passed by
+// pointer through a function value escapes to the heap. Each rule's
+// deterministic prefix (junta, re-initialization, clock tick) is one
+// method that stepPair runs and the coin claim pairDrawsCoins dry-runs,
+// so the claim reads the rule's own prefix. The stable hybrids extend
+// their fast protocols: StableApproximate embeds Approximate's agent
+// and rule and runs its Search stage as is; StableCountExact shares
+// CountExact's rule wiring but keeps its own stages, whose error checks
+// change which stage an agent is in mid-step.
+//
+// The spec is the protocol's only runnable form; every engine and
+// experiment runs it. Three test pins hold it to the rule: a reference
+// loop steps a plain agent array with the same stepPair on the engine's
+// pair stream and compares it state by state with the spec agent,
+// digests of every state's encoding along fixed trajectories fix the
+// rules themselves, and golden results recorded from the agent arrays
+// the package used to export fix where each run stops.
 //
 // State codes are interned (sim.Interner) rather than bit-packed: the
 // product domain does not fit a fixed-width encoding (classical loads
@@ -38,7 +53,6 @@ package core
 
 import (
 	"popcount/internal/clock"
-	"popcount/internal/junta"
 	"popcount/internal/leader"
 	"popcount/internal/rng"
 	"popcount/internal/sim"
@@ -86,154 +100,108 @@ func canonFastLed(s leader.FastState) leader.FastState {
 	return s
 }
 
-// canonApprox canonicalizes one Approximate agent state for interning.
-func canonApprox(w approxAgent) approxAgent {
-	w.clk = canonClock(w.clk)
-	w.led = canonSlowLed(w.led)
-	return w
+// deltaFunc and claimFunc are the types of sim.Spec's Delta and
+// Randomized.
+type (
+	deltaFunc = func(qu, qv uint64, r *rng.Rand) (uint64, uint64)
+	claimFunc = func(qu, qv uint64) bool
+)
+
+// protocol is what a product-state protocol supplies to newInterned.
+type protocol[S comparable] struct {
+	name  string
+	n     int
+	hash  func(S) uint64
+	init  S
+	canon func(S) S
+	// step is the rule's stepPair on values, which the shard closures
+	// call through this function value without a state escaping.
+	step      func(a, b S, r *rng.Rand) (S, S)
+	output    func(S) int64
+	errFlag   func(S) bool // nil for protocols without error detection
+	encode    func(S) []byte
+	decode    func([]byte) (S, error)
+	converged func(sim.ConfigView) bool
 }
 
-// ApproximateSpec couples protocol Approximate's transition spec with
-// its state codec, so configuration-level consumers (experiments,
-// tests) can decode what the engines report.
-type ApproximateSpec struct {
+// interned is a protocol's spec with the interner that names its
+// states; the four exported spec types embed it.
+type interned[S comparable] struct {
 	*sim.Spec
-	rule *approxRule
-	in   *sim.Interner[approxAgent]
+	in *sim.Interner[S]
 }
 
-// NewApproximateSpec returns the canonical transition spec of the
-// paper's protocol Approximate (Algorithm 2, Theorem 1.1) over cfg: a
-// uniform protocol after which every agent outputs ⌊log₂ n⌋ or
-// ⌈log₂ n⌉ w.h.p., converging in O(n log² n) interactions with
-// O(log n · log log n) states. An agent's output is its k; 2^k is its
-// population-size estimate.
-//
-// Stage structure per agent (tracked through the flags leaderDone and
-// searchDone): Stage 1 elects a leader with the slow protocol of [GS18];
-// Stage 2 runs the Search Protocol (Algorithm 1), in which the leader
-// performs a linear search over k, injecting 2^k tokens per round and
-// using powers-of-two load balancing to test whether 2^k exceeds ¾·n;
-// Stage 3 broadcasts the leader's final k to every agent.
-//
-// The agent adapter (sim.NewSpecAgent) and the count forms run the
-// same approxRule.stepPair, so every engine simulates one chain.
-func NewApproximateSpec(cfg Config) *ApproximateSpec {
-	rule := newApproxRule(cfg)
-	p := &ApproximateSpec{rule: &rule, in: sim.NewInterner(hashApprox)}
-	initCode := p.in.Code(canonApprox(rule.initAgent()))
-	p.Spec = &sim.Spec{
-		Name: "approximate",
-		N:    cfg.withDefaults().N,
-		Init: func() map[uint64]int64 {
-			return map[uint64]int64{initCode: int64(rule.cfg.N)}
-		},
-		Delta: func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
-			a, b := p.in.State(qu), p.in.State(qv)
-			rule.stepPair(&a, &b, r)
-			return p.in.Recode(canonApprox(a), qu), p.in.Recode(canonApprox(b), qv)
-		},
-		ShardDelta: func(k int) ([]func(qu, qv uint64, r *rng.Rand) (uint64, uint64), func() map[uint64]uint64) {
-			g := sim.ShardViews(p.in, k)
-			ds := make([]func(qu, qv uint64, r *rng.Rand) (uint64, uint64), k)
+// newInterned builds the protocol's spec over a fresh interner. miss
+// returns the spec's Delta and Randomized, written against that
+// interner; the spec memoizes both (see sim.DeltaMemo), so each code
+// pair is classified and resolved on a window miss only. Shard views
+// bypass the memo (their provisional codes carry the tag bit), so the
+// ShardDelta closures stay the parallel path.
+func newInterned[S comparable](p protocol[S], miss func(in *sim.Interner[S]) (deltaFunc, claimFunc)) interned[S] {
+	in := sim.NewInterner(p.hash)
+	n, initCode := int64(p.n), in.Code(p.canon(p.init))
+	// The closures capture the fields they call, not p: a protocol
+	// record up to 128 bytes would be copied into each of them.
+	canon, step, output, encode, decode, errFlag := p.canon, p.step, p.output, p.encode, p.decode, p.errFlag
+	s := &sim.Spec{
+		Name: p.name,
+		N:    p.n,
+		Init: func() map[uint64]int64 { return map[uint64]int64{initCode: n} },
+		ShardDelta: func(k int) ([]deltaFunc, func() map[uint64]uint64) {
+			g := sim.ShardViews(in, k)
+			ds := make([]deltaFunc, k)
 			for i := range ds {
 				v := g.View(i)
 				ds[i] = func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
-					a, b := v.State(qu), v.State(qv)
-					rule.stepPair(&a, &b, r)
-					return v.Recode(canonApprox(a), qu), v.Recode(canonApprox(b), qv)
+					a, b := step(v.State(qu), v.State(qv), r)
+					return v.Recode(canon(a), qu), v.Recode(canon(b), qv)
 				}
 			}
 			return ds, g.Reconcile
 		},
-		Randomized: func(qu, qv uint64) bool {
-			return rule.pairDrawsCoins(p.in.State(qu), p.in.State(qv))
-		},
-		Converged: func(v sim.ConfigView) bool {
-			return p.converged(v)
-		},
-		Output: func(q uint64) int64 { return int64(p.in.State(q).k) },
-		EncodeState: func(q uint64) []byte {
-			return encodeApprox(p.in.State(q))
-		},
+		Converged:   p.converged,
+		Output:      func(q uint64) int64 { return output(in.State(q)) },
+		EncodeState: func(q uint64) []byte { return encode(in.State(q)) },
 		DecodeState: func(b []byte) (uint64, error) {
-			s, err := decodeApprox(b)
+			w, err := decode(b)
 			if err != nil {
 				return 0, err
 			}
-			return p.in.Code(canonApprox(s)), nil
+			return in.Code(canon(w)), nil
 		},
 	}
-	// Each code pair decodes, steps and re-interns exactly once; repeats
-	// are pure code-space lookups. Shard views bypass the memo (their
-	// provisional codes carry the tag bit), so the closures above stay
-	// the parallel path.
-	p.Spec.MemoizeDelta()
-	return p
+	if errFlag != nil {
+		s.Errored = func(v sim.ConfigView) bool {
+			raised := false
+			v.ForEach(func(code uint64, _ int64) { raised = raised || errFlag(in.State(code)) })
+			return raised
+		}
+	}
+	s.Delta, s.Randomized = miss(in)
+	s.MemoizeDelta()
+	return interned[S]{Spec: s, in: in}
 }
 
-// converged is the desired configuration of Theorem 1.1 on a
-// configuration view: every occupied state finished the search and
-// agrees on a k ≥ 0.
-func (p *ApproximateSpec) converged(v sim.ConfigView) bool {
+// agree reports whether every occupied state of v qualifies and all
+// carry one value, under value, returning that value; an empty view
+// never agrees. It is the shape of every convergence predicate here.
+func (p interned[S]) agree(v sim.ConfigView, value func(S) (int64, bool)) (int64, bool) {
 	ok, first := true, true
-	var k int16
+	var want int64
 	v.ForEach(func(code uint64, _ int64) {
 		if !ok {
 			return
 		}
-		s := p.in.State(code)
-		if !s.searchDone {
+		x, qualifies := value(p.in.State(code))
+		if !qualifies || (!first && x != want) {
 			ok = false
 			return
 		}
-		if first {
-			k, first = s.k, false
-		} else if s.k != k {
-			ok = false
-		}
+		want, first = x, false
 	})
-	return ok && !first && k >= 0
-}
-
-// Metrics reports the observed variable ranges over a configuration
-// view, for state accounting (Theorem 1.1: O(log n · log log n) states
-// — the only non-constant variables are the junta level and k; see
-// Figure 2).
-func (p *ApproximateSpec) Metrics(v sim.ConfigView) StateMetrics {
-	var m StateMetrics
-	v.ForEach(func(code uint64, _ int64) {
-		s := p.in.State(code)
-		if l := int(s.jnt.Level); l > m.MaxLevel {
-			m.MaxLevel = l
-		}
-		if k := int(s.k); k > m.MaxK {
-			m.MaxK = k
-		}
-	})
-	return m
+	return want, ok && !first
 }
 
 // States returns the number of distinct states interned so far — the
 // reachable alphabet fragment the engines discovered.
-func (p *ApproximateSpec) States() int { return p.in.Len() }
-
-// pairDrawsCoins reports whether an interaction of the pair (a, b)
-// consumes synthetic coins: after the deterministic prefix (junta,
-// re-initialization, clock tick), a still-contending, not-yet-done
-// endpoint crossing a phase boundary draws its per-phase election coin.
-// Conservative like the leader spec's predicate: a contender that the
-// boundary would retire before drawing is still claimed.
-func (p *approxRule) pairDrawsCoins(a, b approxAgent) bool {
-	preA, preB := a.jnt.Level, b.jnt.Level
-	junta.Interact(&a.jnt, &b.jnt)
-	if a.jnt.Level != preA {
-		p.reinit(&a, &b, preB)
-	}
-	if b.jnt.Level != preB {
-		p.reinit(&b, &a, preA)
-	}
-	p.clk.Tick(&a.clk, &b.clk, a.jnt.Junta, b.jnt.Junta)
-	return (a.clk.FirstTick && !a.led.Done && a.led.IsLeader) ||
-		(b.clk.FirstTick && !b.led.Done && b.led.IsLeader)
-}
+func (p interned[S]) States() int { return p.in.Len() }

@@ -119,26 +119,3 @@ func TestStableVariantsValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestLog2fAccuracy(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{1, 0}, {2, 1}, {4, 2}, {8, 3}, {32, 5}, {3, 1.584962500721156},
-	}
-	for _, c := range cases {
-		if got := log2f(c.x); got < c.want-1e-4 || got > c.want+1e-4 {
-			t.Errorf("log2f(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestRoundToInt(t *testing.T) {
-	cases := []struct {
-		x    float64
-		want int
-	}{{0.4, 0}, {0.5, 1}, {1.6, 2}, {-0.4, 0}, {-0.6, -1}, {9.5, 10}}
-	for _, c := range cases {
-		if got := roundToInt(c.x); got != c.want {
-			t.Errorf("roundToInt(%v) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}

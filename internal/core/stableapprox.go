@@ -1,12 +1,13 @@
 package core
 
 import (
+	"math"
+
 	"popcount/internal/backup"
 	"popcount/internal/balance"
 	"popcount/internal/clock"
-	"popcount/internal/junta"
-	"popcount/internal/leader"
 	"popcount/internal/rng"
+	"popcount/internal/sim"
 )
 
 // edTokens is the constant 32 with which the Error Detection protocol
@@ -17,12 +18,7 @@ const edTokens = 32
 // StableApproximate: the fast path of Approximate, the Error Detection
 // protocol of Algorithm 7, and the backup protocol of Appendix C.1.
 type stableAgent struct {
-	// Fast path (identical to Approximate).
-	jnt        junta.State
-	clk        clock.State
-	led        leader.State
-	k          int16
-	searchDone bool
+	approxAgent
 
 	// Error Detection (Algorithm 7).
 	edAnchor uint8 // synchronized phase at which error detection began
@@ -38,39 +34,133 @@ type stableAgent struct {
 	bkInstance uint8
 }
 
-// stableApproxRule is the n-independent part of StableApproximate: the
-// configuration and sub-protocol wiring defining the pairwise rule,
-// which the transition spec (NewStableApproximateSpec) applies to
-// decoded state pairs.
+// canonStableApprox canonicalizes one StableApproximate agent state for
+// interning. The slow-election quotient of canonSlowLed carries over
+// unchanged: the stable variant reads the election record in exactly
+// the same places (plus the two-leaders check, which uses only the kept
+// IsLeader/Done fields), and frozen agents are always Done.
+func canonStableApprox(w stableAgent) stableAgent {
+	w.approxAgent = canonApprox(w.approxAgent)
+	return w
+}
+
+// StableApproximateSpec couples the stable protocol's transition spec
+// with its state codec.
+type StableApproximateSpec struct {
+	interned[stableAgent]
+	rule *stableApproxRule
+}
+
+// NewStableApproximateSpec returns the canonical transition spec of
+// StableApproximate, the stable (always correct) hybrid variant of
+// protocol Approximate (Theorem 1.2, Section 3.4 and Appendices B–C),
+// over cfg.
+//
+// It runs protocol Approximate, replacing the Broadcasting Stage with the
+// ErrorDetection protocol (Algorithm 7): the leader re-injects 2^(k−2)
+// tokens, powers-of-two balancing spreads them, every agent converts its
+// share into 32 classical tokens, classical balancing spreads those, and
+// the leader recomputes k = ⌊k + 3 − log ℓ⌉ from its own balanced load.
+// Any inconsistency — unbalanced piles, too-small loads, discrepancy
+// above 2, phase desynchronization, or two leaders meeting — raises an
+// error flag that spreads by one-way epidemics and switches every agent
+// to a fresh instance of the slow backup protocol, which computes
+// ⌊log n⌋ with probability 1. An agent's output is the backup
+// instance's result after an error, otherwise the fast path's k.
+//
+// faultInject corrupts the leader's k when the search concludes (the
+// rule's FaultInjection knob), forcing the error-detection → backup
+// path.
+func NewStableApproximateSpec(cfg Config, faultInject bool) *StableApproximateSpec {
+	rule := stableApproxRule{approxRule: newApproxRule(cfg), FaultInjection: faultInject}
+	p := &StableApproximateSpec{rule: &rule}
+	p.interned = newInterned(protocol[stableAgent]{
+		name:  "stable-approximate",
+		n:     rule.cfg.N,
+		hash:  hashStableApprox,
+		init:  rule.initAgent(),
+		canon: canonStableApprox,
+		step:  rule.step,
+		output: func(w stableAgent) int64 {
+			if w.errFlag {
+				return int64(w.bk.KMax)
+			}
+			return int64(w.k)
+		},
+		errFlag:   func(w stableAgent) bool { return w.errFlag },
+		encode:    encodeStableApprox,
+		decode:    decodeStableApprox,
+		converged: p.converged,
+	}, func(in *sim.Interner[stableAgent]) (deltaFunc, claimFunc) {
+		delta := func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
+			a, b := in.State(qu), in.State(qv)
+			rule.stepPair(&a, &b, r)
+			return in.Recode(canonStableApprox(a), qu), in.Recode(canonStableApprox(b), qv)
+		}
+		return delta, func(qu, qv uint64) bool { return rule.pairDrawsCoins(in.State(qu), in.State(qv)) }
+	})
+	return p
+}
+
+// converged reports whether the population has stabilized on a common
+// output, on a configuration view: either every occupied state is
+// frozen in phase′ 4 with one common k ≥ 0 and no error, or every state
+// runs the fresh backup instance and the backup has reached Lemma 12's
+// terminal configuration.
+func (p *StableApproximateSpec) converged(v sim.ConfigView) bool {
+	if p.Errored(v) {
+		return p.backupConverged(v)
+	}
+	_, ok := p.agree(v, func(w stableAgent) (int64, bool) { return int64(w.k), w.frozen && w.k >= 0 })
+	return ok
+}
+
+// backupConverged is Lemma 12's terminal condition on the fresh backup
+// instance, over state multiplicities: the pile exponents form
+// the binary representation of n and every agent's kmax is ⌊log n⌋.
+func (p *StableApproximateSpec) backupConverged(v sim.ConfigView) bool {
+	n := p.rule.cfg.N
+	var counts [64]int64
+	want := int16(sim.Log2Floor(n))
+	ok := true
+	v.ForEach(func(code uint64, cnt int64) {
+		if !ok {
+			return
+		}
+		s := p.in.State(code)
+		if !s.errFlag || s.bkInstance != 1 || s.bk.KMax != want {
+			ok = false
+			return
+		}
+		if s.bk.K >= 0 {
+			counts[s.bk.K] += cnt
+		}
+	})
+	if !ok {
+		return false
+	}
+	for i := 0; i <= int(want); i++ {
+		if counts[i] != int64((n>>uint(i))&1) {
+			return false
+		}
+	}
+	return true
+}
+
+// stableApproxRule is StableApproximate's rule: Approximate's wiring
+// and stages, with Error Detection in place of the Broadcasting Stage
+// and the backup protocol beside them.
 type stableApproxRule struct {
-	cfg   Config
-	clk   clock.Clock
-	elect leader.Election
+	approxRule
 
 	// FaultInjection corrupts the leader's k when the search concludes,
 	// forcing the error-detection → backup path (experiment E9).
 	FaultInjection bool
 }
 
-// newStableApproxRule wires the rule for cfg (with defaults applied).
-func newStableApproxRule(cfg Config) stableApproxRule {
-	cfg = cfg.withDefaults()
-	if cfg.N < 2 {
-		panic("core: population must have at least 2 agents")
-	}
-	c := clock.New(cfg.ClockM)
-	return stableApproxRule{cfg: cfg, clk: c, elect: leader.NewElection(c, cfg.OuterM)}
-}
-
 // initAgent returns the initial per-agent state.
 func (p *stableApproxRule) initAgent() stableAgent {
-	return stableAgent{
-		jnt: junta.InitState(),
-		clk: p.clk.Init(),
-		led: p.elect.Init(),
-		k:   -1,
-		bk:  backup.InitApprox(),
-	}
+	return stableAgent{approxAgent: p.approxRule.initAgent(), bk: backup.InitApprox()}
 }
 
 // stepPair applies one interaction of the rule to the pair (a, b) with
@@ -92,26 +182,8 @@ func (p *stableApproxRule) stepPair(a, b *stableAgent, r *rng.Rand) {
 		backup.ApproxInteract(&a.bk, &b.bk)
 	}
 
-	// Junta process with per-level re-initialization, as in Approximate.
-	preA, preB := a.jnt.Level, b.jnt.Level
-	junta.Interact(&a.jnt, &b.jnt)
-	if a.jnt.Level != preA {
-		p.reinit(a, b, preB)
-	}
-	if b.jnt.Level != preB {
-		p.reinit(b, a, preA)
-	}
-
-	// Phase clocks; a frozen agent (phase′ 4) no longer participates,
-	// but its partner still reads its value (Algorithm 7, line 23).
-	switch {
-	case !a.frozen && !b.frozen:
-		p.clk.Tick(&a.clk, &b.clk, a.jnt.Junta, b.jnt.Junta)
-	case a.frozen && !b.frozen:
-		p.clk.TickOne(&b.clk, a.clk.Val, b.jnt.Junta)
-	case !a.frozen && b.frozen:
-		p.clk.TickOne(&a.clk, b.clk.Val, a.jnt.Junta)
-	}
+	// Junta, re-initialization and phase clocks.
+	p.prefix(a, b)
 
 	// Two leaders that both concluded leader election meeting each other
 	// is a detectable error (Appendix B).
@@ -128,25 +200,95 @@ func (p *stableApproxRule) stepPair(a, b *stableAgent, r *rng.Rand) {
 		p.elect.Interact(&a.led, &b.led, a.clk, b.clk, a.jnt.Junta, b.jnt.Junta, r)
 	}
 
-	// Stage 2: the Search Protocol (identical to Approximate).
-	p.searchStep(a, b)
+	// Stage 2: Approximate's Search Protocol, then the stable additions
+	// for a leader that concluded it. This is the stable rule exactly:
+	// the flags agree after the epidemic, and a both-errored pair has
+	// returned, so neither endpoint is errored in the search step; and
+	// of two Done leaders the check above has raised both, so the
+	// partner of a concluding leader, which is not one, reads neither
+	// its k nor its anchor later in the step.
+	doneA, doneB := a.searchDone, b.searchDone
+	p.searchStep(&a.approxAgent, &b.approxAgent)
+	if a.searchDone != doneA {
+		p.conclude(a)
+	}
+	if b.searchDone != doneB {
+		p.conclude(b)
+	}
 
 	// Stage 3: Error Detection (replaces the Broadcasting Stage;
 	// Algorithm 6).
 	p.edStep(a, b)
 }
 
-func (p *stableApproxRule) reinit(w, q *stableAgent, qPreLevel uint8) {
-	if qPreLevel >= w.jnt.Level {
-		w.clk = q.clk
-		w.clk.FirstTick = false
-	} else {
-		w.clk = p.clk.Init()
+// prefix applies the deterministic head of an interaction, which
+// stepPair runs and pairDrawsCoins dry-runs: Approximate's junta
+// process and re-initialization, which also clears the Error Detection
+// state, then the phase clocks, where a frozen agent (phase′ 4) no
+// longer ticks but its partner still reads its value (Algorithm 7,
+// line 23).
+func (p *stableApproxRule) prefix(a, b *stableAgent) {
+	movedA, movedB := p.climb(&a.approxAgent, &b.approxAgent)
+	if movedA {
+		a.edAnchor, a.edPhase, a.l, a.frozen = 0, 0, 0, false
 	}
-	w.led = p.elect.Init()
-	w.k = -1
-	w.searchDone = false
-	w.edAnchor, w.edPhase, w.l, w.frozen = 0, 0, 0, false
+	if movedB {
+		b.edAnchor, b.edPhase, b.l, b.frozen = 0, 0, 0, false
+	}
+	tickUnfrozen(p.clk, &a.clk, &b.clk, a.frozen, b.frozen, a.jnt.Junta, b.jnt.Junta)
+}
+
+// tickUnfrozen ticks the phase clocks of a pair whose frozen endpoints
+// no longer participate but still lend their clock value to an
+// unfrozen partner.
+func tickUnfrozen(c clock.Clock, a, b *clock.State, frozenA, frozenB, juntaA, juntaB bool) {
+	switch {
+	case !frozenA && !frozenB:
+		c.Tick(a, b, juntaA, juntaB)
+	case frozenA && !frozenB:
+		c.TickOne(b, a.Val, juntaB)
+	case !frozenA && frozenB:
+		c.TickOne(a, b.Val, juntaA)
+	}
+}
+
+// pairDrawsCoins reports whether an interaction of the pair consumes
+// synthetic coins: the slow election's boundary-draw condition after
+// the deterministic prefix. Conservative: it ignores the error-flag
+// gate (a both-errored pair skips the election entirely) and
+// pre-retirement contenders, claiming both.
+func (p *stableApproxRule) pairDrawsCoins(a, b stableAgent) bool {
+	p.prefix(&a, &b)
+	return slowDraws(&a.approxAgent) || slowDraws(&b.approxAgent)
+}
+
+// step is stepPair on values, for the spec's shard closures.
+func (p *stableApproxRule) step(a, b stableAgent, r *rng.Rand) (stableAgent, stableAgent) {
+	p.stepPair(&a, &b, r)
+	return a, b
+}
+
+// conclude applies the stable rule's additions to a leader's search
+// decision: the fault corruption, if injected, and the Error Detection
+// anchor.
+func (p *stableApproxRule) conclude(w *stableAgent) {
+	if p.FaultInjection {
+		// Corrupt the result to exercise the error-detection → backup
+		// path: claim a population sixteen times too small. (Smaller
+		// corruptions are silently *corrected* by Algorithm 7's line
+		// 19, which recomputes k from the balanced load — a feature,
+		// covered by its own test.)
+		w.k -= 4
+		if w.k < 1 {
+			w.k = 1
+		}
+	}
+	// The leader anchors the Error Detection stage to the phase in which
+	// it concluded the search; the anchor travels with the searchDone
+	// infection.
+	w.edAnchor = p.clk.PhaseIdx(w.clk)
+	w.edPhase = 0
+	w.l = 0
 }
 
 // raise sets the error flag and starts the fresh backup instance
@@ -168,82 +310,6 @@ func (p *stableApproxRule) bkActive(w *stableAgent) bool {
 		return true
 	}
 	return !w.led.Done
-}
-
-// inSearch reports whether agent w currently executes the Search Protocol.
-func (p *stableApproxRule) inSearch(w *stableAgent) bool {
-	return w.led.Done && !w.searchDone && !w.errFlag
-}
-
-// searchStep is the Search Protocol step (Algorithm 1), identical to
-// Approximate's.
-func (p *stableApproxRule) searchStep(a, b *stableAgent) {
-	p.searchBoundary(a)
-	p.searchBoundary(b)
-	p.searchLeaderActions(a, b)
-	p.searchLeaderActions(b, a)
-	if !p.inSearch(a) || !p.inSearch(b) || a.led.IsLeader || b.led.IsLeader {
-		return
-	}
-	switch p.clk.PhaseMod(a.clk, 5) {
-	case 2:
-		balance.PowerOfTwo(&a.k, &b.k)
-	case 3:
-		if a.k < b.k {
-			a.k = b.k
-		} else if b.k < a.k {
-			b.k = a.k
-		}
-	}
-}
-
-// searchBoundary resets a non-leader's k once at phase-0 entry; see the
-// corresponding comment in approxRule.searchBoundary for why the reset
-// must not repeat throughout phase 0.
-func (p *stableApproxRule) searchBoundary(w *stableAgent) {
-	if !p.inSearch(w) || w.led.IsLeader || !w.clk.FirstTick {
-		return
-	}
-	if p.clk.PhaseMod(w.clk, 5) == 0 {
-		w.k = -1
-	}
-}
-
-func (p *stableApproxRule) searchLeaderActions(w, q *stableAgent) {
-	if !w.led.IsLeader || !p.inSearch(w) || !w.clk.FirstTick {
-		return
-	}
-	switch p.clk.PhaseMod(w.clk, 5) {
-	case 1:
-		if !q.led.IsLeader && p.inSearch(q) {
-			q.k = w.k
-		}
-	case 4:
-		if q.k <= 0 {
-			if w.k < maxSearchK {
-				w.k++
-			}
-		} else {
-			w.searchDone = true
-			if p.FaultInjection {
-				// Corrupt the result to exercise the error-detection →
-				// backup path: claim a population sixteen times too
-				// small. (Smaller corruptions are silently *corrected*
-				// by Algorithm 7's line 19, which recomputes k from the
-				// balanced load — a feature, covered by its own test.)
-				w.k -= 4
-				if w.k < 1 {
-					w.k = 1
-				}
-			}
-			// The leader anchors the Error Detection stage to the phase
-			// in which it concluded the search; the anchor travels with
-			// the searchDone infection.
-			w.edAnchor = p.clk.PhaseIdx(w.clk)
-			w.edPhase = 0
-			w.l = 0
-		}
-	}
 }
 
 // inED reports whether agent w currently executes the Error Detection
@@ -369,7 +435,7 @@ func (p *stableApproxRule) edBoundary(w, q *stableAgent) {
 		// Line 18–19: the leader recomputes the approximation of log n
 		// from its own balanced load; then the clock stops (line 23).
 		if w.led.IsLeader && w.l >= 1 {
-			w.k = int16(roundToInt(float64(w.k) + 3 - log2f(float64(w.l))))
+			w.k = edRecompute(w.k, w.l)
 		}
 		w.frozen = true
 	}
@@ -382,38 +448,8 @@ func absInt16(x int16) int16 {
 	return x
 }
 
-func roundToInt(x float64) int {
-	if x >= 0 {
-		return int(x + 0.5)
-	}
-	return -int(-x + 0.5)
-}
-
-// log2f returns log₂ x for x > 0.
-func log2f(x float64) float64 {
-	// ln(x)/ln(2) via the standard library would pull in math; a small
-	// iterative log2 on the integer and fractional parts keeps the hot
-	// path allocation-free. Loads here are ≤ 32, so a table would do,
-	// but the closed form is clearer.
-	n := 0
-	for x >= 2 {
-		x /= 2
-		n++
-	}
-	for x < 1 {
-		x *= 2
-		n--
-	}
-	// x ∈ [1, 2): one step of binary-log refinement per fractional bit.
-	frac := 0.0
-	add := 0.5
-	for i := 0; i < 20; i++ {
-		x *= x
-		if x >= 2 {
-			frac += add
-			x /= 2
-		}
-		add /= 2
-	}
-	return float64(n) + frac
+// edRecompute is Algorithm 7's line 19, k = ⌊k + 3 − log₂ ℓ⌉ for ℓ ≥ 1,
+// rounding halves away from zero.
+func edRecompute(k, l int16) int16 {
+	return int16(math.Round(float64(k) + 3 - math.Log2(float64(l))))
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"math/bits"
+
 	"popcount/internal/backup"
 	"popcount/internal/balance"
 	"popcount/internal/clock"
 	"popcount/internal/junta"
 	"popcount/internal/leader"
 	"popcount/internal/rng"
+	"popcount/internal/sim"
 )
 
 // stableExactAgent is the per-agent state of StableCountExact: the fast
@@ -34,27 +37,127 @@ type stableExactAgent struct {
 	bkInstance uint8
 }
 
-// stableExactRule is the n-independent part of StableCountExact, which
-// the transition spec (NewStableCountExactSpec) applies to decoded
-// state pairs.
+// canonStableExact canonicalizes one StableCountExact agent state for
+// interning (clock quotient plus the fast election's dead Phases
+// counter; Val/Tag stay, see the package comment in spec.go).
+func canonStableExact(w stableExactAgent) stableExactAgent {
+	w.clk = canonClock(w.clk)
+	w.led = canonFastLed(w.led)
+	return w
+}
+
+// stableExactStateOutput is the output of one decoded StableCountExact
+// state: the backup's count after an error, otherwise ⌊2^8·2^(2k)/ℓ⌉.
+func stableExactStateOutput(w stableExactAgent) int64 {
+	if w.errFlag {
+		return w.bk.Count
+	}
+	return refinedCount(w.refMultiplied, w.k, w.l)
+}
+
+// StableCountExactSpec couples the stable protocol's transition spec
+// with its state codec.
+type StableCountExactSpec struct {
+	interned[stableExactAgent]
+	rule *stableExactRule
+}
+
+// NewStableCountExactSpec returns the canonical transition spec of
+// StableCountExact, the stable (always correct) variant of protocol
+// CountExact (Theorem 2 and Appendix F), over cfg. On top of the fast
+// path it detects: two concluded leaders meeting, phase-counter
+// divergence during the Refinement Stage, insufficient load before the
+// refinement multiplication (ℓ < 2⁵ − 1.5, meaning the approximation k
+// was too small), disagreeing k values, and arithmetic overflow. Any
+// error switches the population to a fresh instance of the exact backup
+// protocol (Appendix C.2), which outputs n with probability 1.
+//
+// faultInject corrupts the leader's k when the Approximation Stage
+// concludes, forcing the error → backup path.
+func NewStableCountExactSpec(cfg Config, faultInject bool) *StableCountExactSpec {
+	rule := stableExactRule{exactRule: newExactRule(cfg), FaultInjection: faultInject}
+	p := &StableCountExactSpec{rule: &rule}
+	p.interned = newInterned(protocol[stableExactAgent]{
+		name:      "stable-exact",
+		n:         rule.cfg.N,
+		hash:      hashStableExact,
+		init:      rule.initAgent(),
+		canon:     canonStableExact,
+		step:      rule.step,
+		output:    stableExactStateOutput,
+		errFlag:   func(w stableExactAgent) bool { return w.errFlag },
+		encode:    encodeStableExact,
+		decode:    decodeStableExact,
+		converged: p.converged,
+	}, func(in *sim.Interner[stableExactAgent]) (deltaFunc, claimFunc) {
+		delta := func(qu, qv uint64, r *rng.Rand) (uint64, uint64) {
+			a, b := in.State(qu), in.State(qv)
+			rule.stepPair(&a, &b, r)
+			return in.Recode(canonStableExact(a), qu), in.Recode(canonStableExact(b), qv)
+		}
+		return delta, func(qu, qv uint64) bool { return rule.pairDrawsCoins(in.State(qu), in.State(qv)) }
+	})
+	return p
+}
+
+// converged reports whether the population has stabilized, on a
+// configuration view: either every occupied state is frozen after the
+// Refinement Stage with one common nonzero output and no error, or
+// every state runs the fresh backup instance and it has converged.
+func (p *StableCountExactSpec) converged(v sim.ConfigView) bool {
+	if p.Errored(v) {
+		return p.backupConverged(v)
+	}
+	_, ok := p.agree(v, func(w stableExactAgent) (int64, bool) {
+		out := stableExactStateOutput(w)
+		return out, w.frozen && w.refMultiplied && w.l > 0 && out != 0
+	})
+	return ok
+}
+
+// backupConverged is Lemma 13's terminal condition over state
+// multiplicities: every agent on the fresh backup instance, exactly one
+// uncounted agent, and all counts equal to the maximum.
+func (p *StableCountExactSpec) backupConverged(v sim.ConfigView) bool {
+	ok := true
+	var uncounted int64
+	var want int64
+	v.ForEach(func(code uint64, cnt int64) {
+		if !ok {
+			return
+		}
+		s := p.in.State(code)
+		if !s.errFlag || s.bkInstance != 1 {
+			ok = false
+			return
+		}
+		if !s.bk.Counted {
+			uncounted += cnt
+		}
+		if s.bk.Count > want {
+			want = s.bk.Count
+		}
+	})
+	if !ok || uncounted != 1 {
+		return false
+	}
+	v.ForEach(func(code uint64, _ int64) {
+		if p.in.State(code).bk.Count != want {
+			ok = false
+		}
+	})
+	return ok
+}
+
+// stableExactRule is StableCountExact's rule: CountExact's wiring with
+// its own stages, whose error checks raise the flag where CountExact's
+// set overflow and so change which stage an agent is in mid-step.
 type stableExactRule struct {
-	cfg   Config
-	clk   clock.Clock
-	elect leader.FastElection
+	exactRule
 
 	// FaultInjection corrupts the leader's approximation k when the
 	// Approximation Stage concludes, forcing the error path.
 	FaultInjection bool
-}
-
-// newStableExactRule wires the rule for cfg (with defaults applied).
-func newStableExactRule(cfg Config) stableExactRule {
-	cfg = cfg.withDefaults()
-	if cfg.N < 2 {
-		panic("core: population must have at least 2 agents")
-	}
-	c := clock.New(cfg.ClockM)
-	return stableExactRule{cfg: cfg, clk: c, elect: leader.NewFastElection(c, cfg.FastRounds)}
 }
 
 // initAgent returns the initial per-agent state.
@@ -85,25 +188,8 @@ func (p *stableExactRule) stepPair(a, b *stableExactAgent, r *rng.Rand) {
 		backup.ExactInteract(&a.bk, &b.bk)
 	}
 
-	// Junta process with per-level re-initialization.
-	preA, preB := a.jnt.Level, b.jnt.Level
-	junta.Interact(&a.jnt, &b.jnt)
-	if a.jnt.Level != preA {
-		p.reinit(a, b, preB)
-	}
-	if b.jnt.Level != preB {
-		p.reinit(b, a, preA)
-	}
-
-	// Phase clocks (frozen agents no longer participate).
-	switch {
-	case !a.frozen && !b.frozen:
-		p.clk.Tick(&a.clk, &b.clk, a.jnt.Junta, b.jnt.Junta)
-	case a.frozen && !b.frozen:
-		p.clk.TickOne(&b.clk, a.clk.Val, b.jnt.Junta)
-	case !a.frozen && b.frozen:
-		p.clk.TickOne(&a.clk, b.clk.Val, a.jnt.Junta)
-	}
+	// Junta, re-initialization and phase clocks.
+	p.prefix(a, b)
 
 	// Two concluded leaders meeting is a detectable error (Appendix F).
 	if a.led.IsLeader && b.led.IsLeader && a.led.Done && b.led.Done {
@@ -124,6 +210,37 @@ func (p *stableExactRule) stepPair(a, b *stableExactAgent, r *rng.Rand) {
 
 	// Stage 3: Refinement Stage with error checks.
 	p.refineStep(a, b)
+}
+
+// prefix applies the deterministic head of an interaction, which
+// stepPair runs and pairDrawsCoins dry-runs: the junta process with
+// per-level re-initialization, then the phase clocks, where frozen
+// agents no longer tick.
+func (p *stableExactRule) prefix(a, b *stableExactAgent) {
+	preA, preB := a.jnt.Level, b.jnt.Level
+	junta.Interact(&a.jnt, &b.jnt)
+	if a.jnt.Level != preA {
+		p.reinit(a, b, preB)
+	}
+	if b.jnt.Level != preB {
+		p.reinit(b, a, preA)
+	}
+	tickUnfrozen(p.clk, &a.clk, &b.clk, a.frozen, b.frozen, a.jnt.Junta, b.jnt.Junta)
+}
+
+// pairDrawsCoins reports whether an interaction of the pair consumes
+// synthetic coins: the fast election's even-boundary sampling condition
+// after the deterministic prefix. Conservative only in ignoring the
+// error-flag gate.
+func (p *stableExactRule) pairDrawsCoins(a, b stableExactAgent) bool {
+	p.prefix(&a, &b)
+	return p.fastDraws(a.clk, a.led) || p.fastDraws(b.clk, b.led)
+}
+
+// step is stepPair on values, for the spec's shard closures.
+func (p *stableExactRule) step(a, b stableExactAgent, r *rng.Rand) (stableExactAgent, stableExactAgent) {
+	p.stepPair(&a, &b, r)
+	return a, b
 }
 
 func (p *stableExactRule) reinit(w, q *stableExactAgent, qPreLevel uint8) {
@@ -182,7 +299,7 @@ func (p *stableExactRule) apxBoundary(w *stableExactAgent) {
 		w.l = 1
 	}
 	if w.led.IsLeader && w.l >= 4 && w.i > 0 {
-		k := w.i*e - int32(log2Floor64(w.l))
+		k := w.i*e - int32(bits.Len64(uint64(w.l))-1)
 		if k < 0 {
 			k = 0
 		}

@@ -34,12 +34,9 @@ import (
 
 const (
 	rootSnapMagic = 0x50435353 // "PCSS"
-	// rootSnapVersion 4 appended the scheduler spec to the header;
-	// version 3 appended the intra-run shard count. Version-2 (no
-	// sharding, no scheduler) and version-3 blobs still restore.
-	rootSnapVersion   = 4
-	rootSnapVersionV3 = 3
-	rootSnapVersionV2 = 2
+	// rootSnapVersion 4 appended the scheduler spec to the header and
+	// version 3 the intra-run shard count; only version 4 restores.
+	rootSnapVersion = 4
 )
 
 // Snapshot serializes the simulation's full dynamic state — engine
@@ -113,15 +110,9 @@ func (s *Simulation) Snapshot() ([]byte, error) {
 	return buf, nil
 }
 
-// rootSnapHeaderLen is the fixed byte length of the version-4 envelope
-// header, up to and including the engine-blob length field;
-// rootSnapHeaderLenV3 drops the scheduler-spec length and
-// rootSnapHeaderLenV2 additionally the shard count.
-const (
-	rootSnapHeaderLen   = 4 + 2 + 2 + 1 + 1 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4
-	rootSnapHeaderLenV3 = rootSnapHeaderLen - 4
-	rootSnapHeaderLenV2 = rootSnapHeaderLenV3 - 4
-)
+// rootSnapHeaderLen is the fixed byte length of the envelope header, up
+// to and including the engine-blob length field.
+const rootSnapHeaderLen = 4 + 2 + 2 + 1 + 1 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4
 
 // RestoreSimulation rebuilds a Simulation from a Snapshot blob and
 // resumes it at the exact point the snapshot was taken. Dynamics
@@ -131,26 +122,14 @@ const (
 // ErrBadSnapshot if data is malformed, truncated, of an unknown
 // version, or internally inconsistent.
 func RestoreSimulation(data []byte, opts ...Option) (*Simulation, error) {
-	if len(data) < rootSnapHeaderLenV2 {
-		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrBadSnapshot, len(data), rootSnapHeaderLenV2)
+	if len(data) < rootSnapHeaderLen {
+		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrBadSnapshot, len(data), rootSnapHeaderLen)
 	}
 	if m := binary.LittleEndian.Uint32(data[0:]); m != rootSnapMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrBadSnapshot, m)
 	}
-	version := binary.LittleEndian.Uint16(data[4:])
-	var headerLen int
-	switch version {
-	case rootSnapVersion:
-		headerLen = rootSnapHeaderLen
-	case rootSnapVersionV3:
-		headerLen = rootSnapHeaderLenV3
-	case rootSnapVersionV2:
-		headerLen = rootSnapHeaderLenV2
-	default:
+	if version := binary.LittleEndian.Uint16(data[4:]); version != rootSnapVersion {
 		return nil, fmt.Errorf("%w: unknown version %d", ErrBadSnapshot, version)
-	}
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrBadSnapshot, len(data), headerLen)
 	}
 	alg := Algorithm(binary.LittleEndian.Uint16(data[6:]))
 	kind := EngineKind(data[8])
@@ -184,20 +163,12 @@ func RestoreSimulation(data []byte, opts ...Option) (*Simulation, error) {
 	set.shift = int(binary.LittleEndian.Uint32(data[58:]))
 	set.batchRounds = int(binary.LittleEndian.Uint32(data[62:]))
 	set.engine = kind
+	set.shards = int(binary.LittleEndian.Uint32(data[66:]))
 
-	off := 66
-	if version >= rootSnapVersionV3 {
-		set.shards = int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-	}
-	schedLen := 0
-	if version >= rootSnapVersion {
-		schedLen = int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-	}
-	faultLen := int(binary.LittleEndian.Uint32(data[off:]))
-	blobLen := int(binary.LittleEndian.Uint32(data[off+4:]))
-	rest := data[headerLen:]
+	schedLen := int(binary.LittleEndian.Uint32(data[70:]))
+	faultLen := int(binary.LittleEndian.Uint32(data[74:]))
+	blobLen := int(binary.LittleEndian.Uint32(data[78:]))
+	rest := data[rootSnapHeaderLen:]
 	if schedLen < 0 || schedLen > len(rest) {
 		return nil, fmt.Errorf("%w: scheduler spec is %d bytes, header says %d", ErrBadSnapshot, len(rest), schedLen)
 	}

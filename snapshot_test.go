@@ -2,7 +2,10 @@ package popcount_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -179,6 +182,17 @@ func TestRestoreSimulationErrors(t *testing.T) {
 	bad[4] ^= 0xff // version field
 	if _, err := popcount.RestoreSimulation(bad); !errors.Is(err, popcount.ErrBadSnapshot) {
 		t.Fatalf("version skew: err = %v, want ErrBadSnapshot", err)
+	}
+
+	// Versions 2 and 3 no longer restore: a current blob relabelled as
+	// either fails and names the version.
+	for _, v := range []uint16{2, 3} {
+		old := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint16(old[4:], v)
+		_, err := popcount.RestoreSimulation(old)
+		if !errors.Is(err, popcount.ErrBadSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("unknown version %d", v)) {
+			t.Fatalf("version %d: err = %v, want ErrBadSnapshot naming the unknown version", v, err)
+		}
 	}
 }
 
