@@ -19,9 +19,9 @@ func TestBatchEquivalentToScalar(t *testing.T) {
 		factory func() sim.Protocol
 		cfg     sim.Config
 	}{
-		{"TokenBag", func() sim.Protocol { return baseline.NewTokenBag(128) },
+		{"TokenBag", func() sim.Protocol { return sim.NewSpecAgent(baseline.NewTokenBagSpec(128)) },
 			sim.Config{Seed: 3}},
-		{"TokenBag/confirm", func() sim.Protocol { return baseline.NewTokenBag(96) },
+		{"TokenBag/confirm", func() sim.Protocol { return sim.NewSpecAgent(baseline.NewTokenBagSpec(96)) },
 			sim.Config{Seed: 9, ConfirmWindow: 10_000}},
 		{"Approximate", func() sim.Protocol { return sim.NewSpecAgent(core.NewApproximateSpec(core.Config{N: 256}).Spec) },
 			sim.Config{Seed: 4}},
@@ -65,8 +65,8 @@ func TestBatchEquivalentUnderNonUniformSchedulers(t *testing.T) {
 	}
 	for name, mk := range scheds {
 		t.Run(name, func(t *testing.T) {
-			scalarP := baseline.NewTokenBag(100)
-			batchP := baseline.NewTokenBag(100)
+			scalarP := sim.NewSpecAgent(baseline.NewTokenBagSpec(100))
+			batchP := sim.NewSpecAgent(baseline.NewTokenBagSpec(100))
 			scalarRes, err := sim.Run(scalarP, sim.Config{Seed: 6, Scheduler: mk(), DisableBatch: true})
 			if err != nil {
 				t.Fatal(err)

@@ -194,7 +194,7 @@ func BenchmarkE12CountExact(b *testing.B) {
 // BenchmarkE13BackupApprox — Lemma 12: backup in O(n² log² n).
 func BenchmarkE13BackupApprox(b *testing.B) {
 	const n = 64
-	runNorm(b, func(int) sim.Protocol { return backup.NewApprox(n) },
+	runNorm(b, func(int) sim.Protocol { return sim.NewSpecAgent(backup.NewApproxSpec(n)) },
 		sim.Config{Seed: 13, MaxInteractions: n * n * 2000},
 		float64(n)*float64(n)*math.Log(n), "T/(n²·ln·n)")
 }
@@ -202,7 +202,7 @@ func BenchmarkE13BackupApprox(b *testing.B) {
 // BenchmarkE14BackupExact — Lemma 13: backup in O(n² log n).
 func BenchmarkE14BackupExact(b *testing.B) {
 	const n = 128
-	runNorm(b, func(int) sim.Protocol { return backup.NewExact(n) },
+	runNorm(b, func(int) sim.Protocol { return sim.NewSpecAgent(backup.NewExactSpec(n)) },
 		sim.Config{Seed: 14, MaxInteractions: n * n * 1000},
 		float64(n)*float64(n)*math.Log(n), "T/(n²·ln·n)")
 }
@@ -214,7 +214,7 @@ func BenchmarkE15Baselines(b *testing.B) {
 	var speedups float64
 	count := 0
 	for i := 0; i < b.N; i++ {
-		bag := baseline.NewTokenBag(n)
+		bag := sim.NewSpecAgent(baseline.NewTokenBagSpec(n))
 		bres, err := sim.Run(bag, sim.Config{Seed: uint64(15 + i), MaxInteractions: n * n * 200})
 		if err != nil {
 			b.Fatal(err)
@@ -439,8 +439,12 @@ func benchPath(b *testing.B, p sim.Protocol, disableBatch bool) {
 // BenchmarkTokenBagScalar / BenchmarkTokenBagBatch — the Θ(n²) baseline's
 // cheap transition is dominated by dispatch overhead, so the batched
 // path's gain is largest here.
-func BenchmarkTokenBagScalar(b *testing.B) { benchPath(b, baseline.NewTokenBag(1<<14), true) }
-func BenchmarkTokenBagBatch(b *testing.B)  { benchPath(b, baseline.NewTokenBag(1<<14), false) }
+func BenchmarkTokenBagScalar(b *testing.B) {
+	benchPath(b, sim.NewSpecAgent(baseline.NewTokenBagSpec(1<<14)), true)
+}
+func BenchmarkTokenBagBatch(b *testing.B) {
+	benchPath(b, sim.NewSpecAgent(baseline.NewTokenBagSpec(1<<14)), false)
+}
 
 // BenchmarkApproximateScalar / BenchmarkApproximateBatch — protocol
 // Approximate's transition is heavier, so the dispatch saving is

@@ -24,11 +24,11 @@
 // engine simulates the configuration (per-state agent counts) directly;
 // count-batched additionally steps the configuration in multinomial
 // epochs (drift-bounded τ-leaping, distributionally faithful but not
-// exact). Every algorithm except tokenbag has a count form: the
-// building blocks reach n ≥ 10⁹, and the composed counting protocols
-// themselves (approximate, exact and the stable variants) run on the
-// count engines through their interned transition specs — protocol
-// Approximate converges at n = 10⁸ on count-batched in minutes.
+// exact). Every algorithm has a count form: the building blocks reach
+// n ≥ 10⁹, and the composed counting protocols themselves (approximate,
+// exact and the stable variants) run on the count engines through their
+// interned transition specs — protocol Approximate converges at
+// n = 10⁸ on count-batched in minutes.
 package main
 
 import (

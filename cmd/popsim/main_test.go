@@ -8,8 +8,10 @@ import (
 )
 
 func TestRunTokenBag(t *testing.T) {
-	if err := run([]string{"-alg", "tokenbag", "-n", "64", "-seed", "3"}); err != nil {
-		t.Fatalf("run failed: %v", err)
+	for _, engine := range []string{"agent", "count", "count-batched"} {
+		if err := run([]string{"-alg", "tokenbag", "-n", "64", "-seed", "3", "-engine", engine}); err != nil {
+			t.Fatalf("%s engine: run failed: %v", engine, err)
+		}
 	}
 }
 
@@ -44,10 +46,10 @@ func TestRunCountEngineEnsemble(t *testing.T) {
 }
 
 func TestRunCountEngineUnsupportedAlgorithm(t *testing.T) {
-	// TokenBag is the one algorithm left without a count form (the core
-	// counting protocols run on every engine since their spec port).
-	if err := run([]string{"-alg", "tokenbag", "-n", "64", "-engine", "count"}); err == nil {
-		t.Fatal("count engine accepted an algorithm without a count form")
+	// Every algorithm has a count form (see TestRunTokenBag), so the
+	// count engine refuses only an algorithm the library does not have.
+	if err := run([]string{"-alg", "nope", "-n", "64", "-engine", "count"}); err == nil {
+		t.Fatal("count engine accepted an unknown algorithm")
 	}
 }
 

@@ -86,79 +86,25 @@ func RunEnsemble(ctx context.Context, alg Algorithm, n, trials int, opts ...Opti
 	}
 	set := newSettings(opts)
 	// Validate once up front so the trial factory cannot fail mid-run;
-	// engine × algorithm × scheduler incompatibilities error here.
-	if err := validate(alg, n); err != nil {
-		return EnsembleResult{}, err
-	}
-	kind, err := set.resolveEngine(alg)
+	// engine × scheduler incompatibilities error here.
+	kind, err := set.check(alg, n)
 	if err != nil {
 		return EnsembleResult{}, err
 	}
-	if err := set.validateScheduler(n); err != nil {
-		return EnsembleResult{}, err
-	}
-	if kind == EngineCount || kind == EngineCountBatched {
-		return runCountEnsemble(ctx, alg, n, trials, kind, set)
-	}
-
-	// Per-trial observer closures, written by the factory and read by
-	// the observer hook — both run on the owning trial's goroutine.
-	var obsFns []func(sim.Observation)
-	if set.observer != nil {
-		obsFns = make([]func(sim.Observation), trials)
-	}
-	factory := func(trial int) sim.Protocol {
-		p, err := newProtocol(alg, n, set)
-		if err != nil {
-			panic(err) // validated above; unreachable
-		}
-		if obsFns != nil {
-			obsFns[trial] = set.snapshotObserver(alg, p, trial)
-		}
-		return p
-	}
-
-	cfg := sim.Config{
-		Seed:            set.seed,
-		MaxInteractions: set.maxI,
-		CheckEvery:      set.checkEvery,
-		ConfirmWindow:   set.confirmWindow,
-		Interrupt:       ensembleInterrupt(ctx, set),
-		Faults:          set.faults.simPlan(),
-	}
-
+	cfg := set.simConfig(kind)
+	cfg.Interrupt = ensembleInterrupt(ctx, set)
 	par := set.parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	topt := sim.TrialOptions{Parallelism: par}
-	if set.mkSched != nil {
-		topt.MakeScheduler = set.newSimScheduler
+	var results []Result
+	if kind == EngineAgent {
+		results, err = agentTrials(alg, n, trials, par, cfg, set)
+	} else {
+		results, err = countTrials(alg, n, trials, par, cfg, set)
 	}
-	if obsFns != nil {
-		topt.Observe = func(trial int, o sim.Observation) { obsFns[trial](o) }
-	}
-
-	runs, err := sim.RunTrials(factory, trials, cfg, topt)
 	if err != nil {
 		return EnsembleResult{}, err
-	}
-
-	results := make([]Result, trials)
-	for i, tr := range runs {
-		r := Result{
-			Converged:    tr.Result.Converged,
-			Interactions: tr.Result.Interactions,
-			Total:        tr.Result.Total,
-			Stable:       tr.Result.Stable,
-			Interrupted:  tr.Result.Interrupted,
-			Outputs:      sim.Outputs(tr.Protocol),
-		}
-		if o, ok := tr.Protocol.(sim.Outputter); ok {
-			r.Output = o.Output(0)
-		}
-		r.Estimate = estimateFor(alg, r.Output)
-		results[i] = r
 	}
 	return aggregateEnsemble(results), ctx.Err()
 }
@@ -204,55 +150,67 @@ func aggregateEnsemble(results []Result) EnsembleResult {
 	return out
 }
 
-// runCountEnsemble is the count-engine trial path of RunEnsemble: same
-// seed derivation and aggregation, backed by sim.RunCountTrials.
-// Per-trial Outputs are nil (the configuration is aggregate) and Output
-// is the plurality state's output.
-func runCountEnsemble(ctx context.Context, alg Algorithm, n, trials int, kind EngineKind, set settings) (EnsembleResult, error) {
-	cfg := set.countSimConfig(kind)
-	cfg.Interrupt = ensembleInterrupt(ctx, set)
-	par := set.parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+// agentTrials is the agent-engine trial path of RunEnsemble, backed by
+// sim.RunTrials: every trial builds its own spec and agent array.
+func agentTrials(alg Algorithm, n, trials, par int, cfg sim.Config, set settings) ([]Result, error) {
+	topt := sim.TrialOptions{Parallelism: par}
+	if set.mkSched != nil {
+		topt.MakeScheduler = set.newSimScheduler
 	}
+	// Per-trial observer closures, written by the factory and read by
+	// the observer hook — both run on the owning trial's goroutine.
+	var obsFns []func(sim.Observation)
+	if set.observer != nil {
+		obsFns = make([]func(sim.Observation), trials)
+		topt.Observe = func(trial int, o sim.Observation) { obsFns[trial](o) }
+	}
+	factory := func(trial int) sim.Protocol {
+		p := sim.NewSpecAgent(specFor(alg, n, set))
+		if obsFns != nil {
+			obsFns[trial] = set.snapshotObserver(alg, trial, func() (int64, bool) { return p.Output(0), true })
+		}
+		return p
+	}
+	runs, err := sim.RunTrials(factory, trials, cfg, topt)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]Result, trials)
+	for i, tr := range runs {
+		outs := sim.Outputs(tr.Protocol)
+		results[i] = publicResult(alg, tr.Result, outs[0], outs)
+	}
+	return results, nil
+}
+
+// countTrials is the count-engine trial path of RunEnsemble, backed by
+// sim.RunCountTrials. Per-trial Outputs are nil (the configuration is
+// aggregate) and Output is the plurality state's output.
+func countTrials(alg Algorithm, n, trials, par int, cfg sim.Config, set settings) ([]Result, error) {
 	topt := sim.CountTrialOptions{Parallelism: par}
 	if set.observer != nil {
 		// One throttled adapter per trial, created lazily on the trial's
 		// own goroutine — each trial only ever touches its own slot, so
-		// no lock is needed (mirroring the agent path's obsFns).
+		// no lock is needed.
 		adapters := make([]func(sim.Observation), trials)
 		topt.Observe = func(trial int, e *sim.CountEngine, o sim.Observation) {
 			fn := adapters[trial]
 			if fn == nil {
-				fn = set.snapshotCountObserver(alg, func() *sim.CountEngine { return e }, trial)
+				fn = set.snapshotObserver(alg, trial, e.PluralityOutput)
 				adapters[trial] = fn
 			}
 			fn(o)
 		}
 	}
-	factory := func(int) sim.CountProtocol {
-		cp, _ := newCountProtocol(alg, n, set)
-		return cp
-	}
+	factory := func(int) sim.CountProtocol { return sim.NewSpecCount(specFor(alg, n, set)) }
 	runs, err := sim.RunCountTrials(factory, trials, cfg, topt)
 	if err != nil {
-		return EnsembleResult{}, err
+		return nil, err
 	}
-
 	results := make([]Result, trials)
 	for i, tr := range runs {
-		r := Result{
-			Converged:    tr.Result.Converged,
-			Interactions: tr.Result.Interactions,
-			Total:        tr.Result.Total,
-			Stable:       tr.Result.Stable,
-			Interrupted:  tr.Result.Interrupted,
-		}
-		if outv, ok := tr.Engine.PluralityOutput(); ok {
-			r.Output = outv
-		}
-		r.Estimate = estimateFor(alg, r.Output)
-		results[i] = r
+		out, _ := tr.Engine.PluralityOutput()
+		results[i] = publicResult(alg, tr.Result, out, nil)
 	}
-	return aggregateEnsemble(results), ctx.Err()
+	return results, nil
 }

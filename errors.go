@@ -17,17 +17,16 @@ var (
 	// does not provide.
 	ErrUnknownAlgorithm = errors.New("popcount: unknown algorithm")
 
-	// ErrUnsupportedEngine marks an engine × algorithm × scheduler
-	// combination that cannot run: a count engine for an algorithm
-	// without a count form, a count engine under a non-uniform
-	// scheduler, or an engine kind the library does not provide. The
+	// ErrUnsupportedEngine marks an engine × scheduler × option
+	// combination that cannot run: a count engine or a fault plan under
+	// a non-uniform scheduler, intra-run sharding off the batched count
+	// engine, or an engine kind the library does not provide. The
 	// wrapped message carries the remediation hint.
 	ErrUnsupportedEngine = errors.New("popcount: unsupported engine for this configuration")
 
 	// ErrNotSnapshottable marks a simulation whose state has no
-	// serialized form (TokenBag's per-agent bags, or the internal state
-	// of a scheduler other than the uniform default and the graph
-	// schedulers).
+	// serialized form: the internal state of a scheduler other than the
+	// uniform default and the graph schedulers.
 	ErrNotSnapshottable = errors.New("popcount: simulation cannot be snapshotted")
 
 	// ErrBadSnapshot marks a snapshot blob that is malformed, of an

@@ -205,17 +205,18 @@ func TestFaultPlanStringRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWithFaultsRejections pins construction-time validation: TokenBag
-// (not spec-backed) and scheduler overrides are incompatible with
-// dynamic fault plans, and structurally invalid plans fail with
-// ErrBadFaultPlan — all at construction, never at run time.
+// TestWithFaultsRejections pins construction-time validation:
+// scheduler overrides are incompatible with dynamic fault plans, and
+// structurally invalid plans fail with ErrBadFaultPlan — all at
+// construction, never at run time. Every algorithm takes fault plans,
+// TokenBag included.
 func TestWithFaultsRejections(t *testing.T) {
 	plan := burstPlan()
-	if _, err := NewSimulation(TokenBag, 64, WithFaults(plan)); !errors.Is(err, ErrUnsupportedEngine) {
-		t.Fatalf("TokenBag with faults: err = %v, want ErrUnsupportedEngine", err)
+	if _, err := NewSimulation(TokenBag, 64, WithFaults(plan)); err != nil {
+		t.Fatalf("TokenBag with faults: %v", err)
 	}
-	if err := Validate(TokenBag, 64, WithFaults(plan)); !errors.Is(err, ErrUnsupportedEngine) {
-		t.Fatalf("Validate TokenBag with faults: err = %v, want ErrUnsupportedEngine", err)
+	if err := Validate(TokenBag, 64, WithFaults(plan)); err != nil {
+		t.Fatalf("Validate TokenBag with faults: %v", err)
 	}
 	if _, err := NewSimulation(Approximate, 64, WithFaults(plan), WithScheduler(RandomMatching)); !errors.Is(err, ErrUnsupportedEngine) {
 		t.Fatalf("scheduler override with faults: err = %v, want ErrUnsupportedEngine", err)

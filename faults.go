@@ -83,9 +83,9 @@ func ParseAdversary(name string) (Adversary, error) {
 // seeded by Seed mixed with the scheduler seed, so the same plan and
 // seeds reproduce the identical schedule on every engine.
 //
-// Fault plans require a spec-backed algorithm (every algorithm except
-// TokenBag) and the default uniform scheduler; the run constructors
-// error otherwise.
+// Fault plans work with every algorithm, because every algorithm is a
+// transition spec, but require the default uniform scheduler; the run
+// constructors error otherwise.
 type FaultPlan struct {
 	// Seed decorrelates the fault stream from the scheduler stream.
 	Seed uint64

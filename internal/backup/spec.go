@@ -81,9 +81,8 @@ func NewApproxSpec(n int) *sim.Spec {
 		SelfLoop: func(qu, qv uint64) bool {
 			return approxSelfLoop(DecodeApprox(qu), DecodeApprox(qv))
 		},
-		Skip:        true,
-		PureDelta:   true,
-		PreferCount: true,
+		Skip:      true,
+		PureDelta: true,
 		Converged: func(v sim.ConfigView) bool {
 			want := int16(log2Floor(int(v.N())))
 			ok := true
@@ -121,9 +120,8 @@ func NewSparseApproxSpec(n int) *sim.Spec {
 			}
 			return EncodeApprox(su), EncodeApprox(sv)
 		},
-		Skip:        true,
-		PureDelta:   true,
-		PreferCount: true,
+		Skip:      true,
+		PureDelta: true,
 		Converged: func(v sim.ConfigView) bool {
 			// Theorem 1.3 allows the ≤ log n pile holders to disagree;
 			// every empty agent must output ⌊log n⌋.
@@ -191,8 +189,7 @@ func NewExactSpec(n int) *sim.Spec {
 			}
 			return (!su.Counted || su.Count == m) && (!sv.Counted || sv.Count == m)
 		},
-		Skip:        true,
-		PreferCount: true,
+		Skip: true,
 		Converged: func(v sim.ConfigView) bool {
 			// Every agent outputs n: exactly one occupied state per
 			// counted flag value at count n — i.e. all counts equal n.

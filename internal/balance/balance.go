@@ -44,80 +44,6 @@ func PowerOfTwo(u, v *int16) {
 	}
 }
 
-// ClassicalProtocol is a standalone simulation of the classical process
-// for measurement: an arbitrary initial load vector is balanced until the
-// discrepancy is at most 1.
-type ClassicalProtocol struct {
-	loads []int64
-	total int64
-}
-
-// NewClassical returns a classical balancing simulation over the given
-// initial loads (copied).
-func NewClassical(loads []int64) *ClassicalProtocol {
-	l := make([]int64, len(loads))
-	copy(l, loads)
-	var total int64
-	for _, x := range l {
-		total += x
-	}
-	return &ClassicalProtocol{loads: l, total: total}
-}
-
-// NewClassicalPointMass returns n agents where agent 0 holds m tokens.
-func NewClassicalPointMass(n int, m int64) *ClassicalProtocol {
-	loads := make([]int64, n)
-	loads[0] = m
-	return NewClassical(loads)
-}
-
-// N returns the population size.
-func (p *ClassicalProtocol) N() int { return len(p.loads) }
-
-// Interact applies one balancing step.
-func (p *ClassicalProtocol) Interact(u, v int, _ *rng.Rand) {
-	Classical(&p.loads[u], &p.loads[v])
-}
-
-// Converged reports whether the discrepancy is at most 2, the bound the
-// classical process reaches within O(n log n) interactions w.h.p.
-// ([BFKK19, Theorem 1]; reaching discrepancy 1 exactly takes Θ(n²·…)
-// because the final surplus token performs a random walk).
-func (p *ClassicalProtocol) Converged() bool { return p.Discrepancy() <= 2 }
-
-// Total returns the (invariant) total load.
-func (p *ClassicalProtocol) Total() int64 { return p.total }
-
-// SumLoads recomputes the total from the load vector (for conservation
-// checks in tests).
-func (p *ClassicalProtocol) SumLoads() int64 {
-	var s int64
-	for _, x := range p.loads {
-		s += x
-	}
-	return s
-}
-
-// Discrepancy returns max load − min load.
-func (p *ClassicalProtocol) Discrepancy() int64 {
-	minL, maxL := p.loads[0], p.loads[0]
-	for _, x := range p.loads[1:] {
-		if x < minL {
-			minL = x
-		}
-		if x > maxL {
-			maxL = x
-		}
-	}
-	return maxL - minL
-}
-
-// Load returns agent i's load.
-func (p *ClassicalProtocol) Load(i int) int64 { return p.loads[i] }
-
-// Output returns agent i's load (Outputter).
-func (p *ClassicalProtocol) Output(i int) int64 { return p.loads[i] }
-
 // PowersProtocol is a standalone simulation of the powers-of-two process
 // from Lemma 8: one agent starts with 2^κ tokens, everyone else is empty,
 // and the process runs until the maximum logarithmic load is at most 0

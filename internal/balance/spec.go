@@ -84,8 +84,7 @@ func NewPowersSpec(n, kappa int, excludeLeader bool) *sim.Spec {
 			ku, kv := decodePowersK(qu), decodePowersK(qv)
 			return !(ku > 0 && kv == Empty) && !(ku == Empty && kv > 0)
 		},
-		Skip:        true,
-		PreferCount: true,
+		Skip: true,
 		Converged: func(v sim.ConfigView) bool {
 			// Lemma 8's terminal condition: no logarithmic load above 0.
 			ok := true
@@ -141,11 +140,11 @@ func NewClassicalSpec(loads []int64) *sim.Spec {
 			// batch planner nets away, but not an identity on agents.
 			return qu == qv || qv == qu+1
 		},
-		Skip:        true,
-		PreferCount: true,
+		Skip: true,
 		Converged: func(v sim.ConfigView) bool {
-			// Discrepancy at most 2 ([BFKK19, Theorem 1]'s practical
-			// terminal condition, like ClassicalProtocol.Converged).
+			// Discrepancy at most 2, [BFKK19, Theorem 1]'s practical
+			// terminal condition: reaching 1 exactly takes Θ(n²·…),
+			// because the final surplus token performs a random walk.
 			first := true
 			var minL, maxL uint64
 			v.ForEach(func(code uint64, _ int64) {

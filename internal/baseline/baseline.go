@@ -1,13 +1,13 @@
 // Package baseline implements the comparison protocols referenced in the
 // paper's introduction and related work, used by experiment E15.
 //
-// TokenBag is the "simple and uniform protocol for exact population
-// counting" from Section 1: every agent starts with one token, agents
-// keep combining the tokens into bags, propagating at the same time the
-// maximum size of a bag and using that maximum as their current output.
-// It completes in expected Θ(n²) interactions and uses Θ(n²) states
-// (bag × maximum), the baseline CountExact improves on by a factor of
-// ≈ n / log n.
+// TokenBag (NewTokenBagSpec) is the "simple and uniform protocol for
+// exact population counting" from Section 1: every agent starts with one
+// token, agents keep combining the tokens into bags, propagating at the
+// same time the maximum size of a bag and using that maximum as their
+// current output. It completes in expected Θ(n²) interactions and uses
+// Θ(n²) states (bag × maximum), the baseline CountExact improves on by a
+// factor of ≈ n / log n.
 //
 // GeometricEstimate (NewGeometricSpec) is a uniform O(log n)-state
 // estimator in the spirit of Alistarh et al. [1] (see Section 1.2):
@@ -16,11 +16,12 @@
 // maximum of n Geometric(1/2) samples is log₂ n + Θ(1) w.h.p., giving
 // an estimate of the population size within a polynomial factor in
 // O(n log n) interactions — much weaker than protocol Approximate's
-// ⌊log n⌋/⌈log n⌉ guarantee, which experiment E15 quantifies. It is
-// defined as a transition spec (spec.go), so all three engine forms
-// derive from one rule; TokenBag has no spec — its per-agent state
-// space is Θ(n²), which is exactly what rules a configuration-level
-// form out.
+// ⌊log n⌋/⌈log n⌉ guarantee, which experiment E15 quantifies.
+//
+// Both are transition specs, so all three engine forms derive from one
+// rule. TokenBag's Θ(n²) alphabet is a bound, not what a run occupies:
+// most agents hold an empty bag and the same maximum, so the count
+// engines discover only a small fraction of it.
 package baseline
 
 import (
@@ -28,91 +29,48 @@ import (
 	"popcount/internal/sim"
 )
 
-// TokenBag is the Θ(n²)-interaction exact counting baseline.
-type TokenBag struct {
-	bags []int64
-	best []int64
-}
+// A TokenBag state (bag, best) is packed as bag<<32 | best. Both fields
+// are at most n, so the packing is exact for n < 2³², above the count
+// engine's population bound and far above any agent array.
+const tokenBagBest = 1<<32 - 1
 
-// NewTokenBag returns the baseline over n agents, one token each.
-func NewTokenBag(n int) *TokenBag {
-	b := &TokenBag{bags: make([]int64, n), best: make([]int64, n)}
-	for i := range b.bags {
-		b.bags[i] = 1
-		b.best[i] = 1
-	}
-	return b
-}
+func tokenBagCode(bag, best uint64) uint64 { return bag<<32 | best }
 
-// N returns the population size.
-func (p *TokenBag) N() int { return len(p.bags) }
-
-// Interact merges the responder's bag into the initiator's and spreads
-// the maximum bag size.
-func (p *TokenBag) Interact(u, v int, _ *rng.Rand) {
-	p.interactOne(u, v)
-}
-
-// interactOne is the transition body shared by the scalar and batched
-// interaction paths.
-func (p *TokenBag) interactOne(u, v int) {
-	bu, bv := p.bags[u], p.bags[v]
+// tokenBagDelta merges the responder's bag into the initiator's when
+// both hold tokens, then spreads the largest bag size either endpoint
+// knows of to both. It draws no coins.
+func tokenBagDelta(qu, qv uint64, _ *rng.Rand) (uint64, uint64) {
+	bu, bv := qu>>32, qv>>32
 	if bu > 0 && bv > 0 {
-		bu += bv
-		p.bags[u], p.bags[v] = bu, 0
-		bv = 0
+		bu, bv = bu+bv, 0
 	}
-	m := p.best[u]
-	if x := p.best[v]; x > m {
-		m = x
-	}
-	if bu > m {
-		m = bu
-	}
-	if bv > m {
-		m = bv
-	}
-	p.best[u], p.best[v] = m, m
+	m := max(qu&tokenBagBest, qv&tokenBagBest, bu, bv)
+	return tokenBagCode(bu, m), tokenBagCode(bv, m)
 }
 
-// InteractBatch implements sim.BatchInteractor: it executes count
-// interactions in one tight loop, bit-for-bit equivalent to count scalar
-// Interact calls, with pair drawing devirtualized for the uniform
-// scheduler.
-func (p *TokenBag) InteractBatch(count int64, sched sim.Scheduler, r *rng.Rand) {
-	n := len(p.bags)
-	if _, ok := sched.(sim.UniformScheduler); ok {
-		for i := int64(0); i < count; i++ {
-			u, v := r.Pair(n)
-			p.interactOne(u, v)
-		}
-		return
+// NewTokenBagSpec returns the canonical transition spec of the TokenBag
+// baseline over n agents, one token each. Its output is the largest bag
+// an agent knows of, and it has converged once every agent knows of a
+// bag of all n tokens.
+func NewTokenBagSpec(n int) *sim.Spec {
+	want := uint64(n)
+	return &sim.Spec{
+		Name: "tokenbag",
+		N:    n,
+		Init: func() map[uint64]int64 {
+			return map[uint64]int64{tokenBagCode(1, 1): int64(n)}
+		},
+		Delta:     tokenBagDelta,
+		PureDelta: true,
+		Converged: func(v sim.ConfigView) bool {
+			done := true
+			v.ForEach(func(code uint64, _ int64) {
+				if code&tokenBagBest != want {
+					done = false
+				}
+			})
+			return done
+		},
+		Output: func(q uint64) int64 { return int64(q & tokenBagBest) },
 	}
-	for i := int64(0); i < count; i++ {
-		u, v := sched.Next(n, r)
-		p.interactOne(u, v)
-	}
-}
-
-// Converged reports whether every agent outputs n.
-func (p *TokenBag) Converged() bool {
-	n := int64(len(p.bags))
-	for _, b := range p.best {
-		if b != n {
-			return false
-		}
-	}
-	return true
-}
-
-// Output returns agent i's current output (the largest bag it knows of).
-func (p *TokenBag) Output(i int) int64 { return p.best[i] }
-
-// TotalTokens returns the conserved token total (always n).
-func (p *TokenBag) TotalTokens() int64 {
-	var s int64
-	for _, b := range p.bags {
-		s += b
-	}
-	return s
 }

@@ -7,9 +7,19 @@ import (
 	"popcount/internal/sim"
 )
 
+// tokenBagTotal returns the conserved token total of a TokenBag
+// agent form (always n).
+func tokenBagTotal(p *sim.SpecAgent) int64 {
+	var s int64
+	for i := 0; i < p.N(); i++ {
+		s += int64(p.Code(i) >> 32)
+	}
+	return s
+}
+
 func TestTokenBagOutputsN(t *testing.T) {
 	for _, n := range []int{10, 100, 500} {
-		p := NewTokenBag(n)
+		p := sim.NewSpecAgent(NewTokenBagSpec(n))
 		res, err := sim.Run(p, sim.Config{Seed: uint64(n), MaxInteractions: int64(n) * int64(n) * 100})
 		if err != nil {
 			t.Fatal(err)
@@ -27,23 +37,23 @@ func TestTokenBagOutputsN(t *testing.T) {
 
 func TestTokenBagConservesTokens(t *testing.T) {
 	n := 128
-	p := NewTokenBag(n)
+	p := sim.NewSpecAgent(NewTokenBagSpec(n))
 	r := rng.New(2)
 	for i := 0; i < 100000; i++ {
 		u, v := r.Pair(n)
 		p.Interact(u, v, r)
-		if i%10000 == 0 && p.TotalTokens() != int64(n) {
-			t.Fatalf("token total %d after %d interactions", p.TotalTokens(), i)
+		if i%10000 == 0 && tokenBagTotal(p) != int64(n) {
+			t.Fatalf("token total %d after %d interactions", tokenBagTotal(p), i)
 		}
 	}
-	if p.TotalTokens() != int64(n) {
-		t.Fatalf("final token total %d", p.TotalTokens())
+	if tokenBagTotal(p) != int64(n) {
+		t.Fatalf("final token total %d", tokenBagTotal(p))
 	}
 }
 
 func TestTokenBagBestMonotone(t *testing.T) {
 	n := 64
-	p := NewTokenBag(n)
+	p := sim.NewSpecAgent(NewTokenBagSpec(n))
 	r := rng.New(3)
 	prev := make([]int64, n)
 	for i := 0; i < 200000; i++ {

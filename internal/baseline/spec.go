@@ -72,9 +72,8 @@ func NewGeometricSpec(n int) *sim.Spec {
 			// involving a fresh agent always change state (activation).
 			return qu == qv && qu&1 == 1
 		},
-		Skip:        true,
-		PureDelta:   true,
-		PreferCount: true,
+		Skip:      true,
+		PureDelta: true,
 		Converged: func(v sim.ConfigView) bool {
 			// All agents activated and agreeing on the maximum: exactly
 			// one occupied state, and it is an activated one.

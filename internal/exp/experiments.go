@@ -729,7 +729,7 @@ func E15Baselines(o Options) Table {
 	ns := o.sizes([]int{1024, 4096, 8192, 16384}, []int{1024, 4096})
 	for _, n := range ns {
 		trials := o.trials(2)
-		bag := runMany(func(int) sim.Protocol { return baseline.NewTokenBag(n) },
+		bag := runMany(func(int) sim.Protocol { return sim.NewSpecAgent(baseline.NewTokenBagSpec(n)) },
 			trials, sim.Config{Seed: o.Seed + uint64(n), MaxInteractions: int64(n) * int64(n) * 200}, o.Parallelism)
 		exact := runMany(func(int) sim.Protocol {
 			return sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n}).Spec)

@@ -145,7 +145,7 @@ func F4ExactSettling(o Options) Series {
 		n = o.Sizes[0]
 	}
 	ce := sim.NewSpecAgent(core.NewCountExactSpec(core.Config{N: n}).Spec)
-	bag := baseline.NewTokenBag(n)
+	bag := sim.NewSpecAgent(baseline.NewTokenBagSpec(n))
 	rCE := rng.New(o.Seed)
 	rBag := rng.New(o.Seed + 1)
 	s := Series{

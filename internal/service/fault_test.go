@@ -147,19 +147,21 @@ func TestFaultPlanFingerprint(t *testing.T) {
 }
 
 // TestFaultPlanValidationErrors pins the 400 mapping of bad fault
-// plans: structural errors, unknown adversaries, and incompatible
-// algorithms all fail at submission, not in the worker.
+// plans: structural errors and unknown adversaries fail at submission,
+// not in the worker. TokenBag with faults is accepted: every algorithm
+// takes fault plans.
 func TestFaultPlanValidationErrors(t *testing.T) {
 	_, hs := testServer(t, Config{})
 	cases := []struct {
 		name string
 		body string
+		want int
 	}{
-		{"unknown adversary", `{"algorithm":"approximate","n":100,"faults":{"adversary":"mean"}}`},
-		{"oversized burst", `{"algorithm":"approximate","n":100,"faults":{"bursts":[{"at":10,"agents":500}]}}`},
-		{"negative rate", `{"algorithm":"approximate","n":100,"faults":{"corrupt_rate":-1}}`},
-		{"random churn", `{"algorithm":"approximate","n":100,"faults":{"churn":[{"at":10,"agents":2,"random":true}]}}`},
-		{"tokenbag with faults", `{"algorithm":"tokenbag","n":100,"faults":{"bursts":[{"at":10,"agents":2}]}}`},
+		{"unknown adversary", `{"algorithm":"approximate","n":100,"faults":{"adversary":"mean"}}`, http.StatusBadRequest},
+		{"oversized burst", `{"algorithm":"approximate","n":100,"faults":{"bursts":[{"at":10,"agents":500}]}}`, http.StatusBadRequest},
+		{"negative rate", `{"algorithm":"approximate","n":100,"faults":{"corrupt_rate":-1}}`, http.StatusBadRequest},
+		{"random churn", `{"algorithm":"approximate","n":100,"faults":{"churn":[{"at":10,"agents":2,"random":true}]}}`, http.StatusBadRequest},
+		{"tokenbag with faults", `{"algorithm":"tokenbag","n":100,"faults":{"bursts":[{"at":10,"agents":2}]}}`, http.StatusAccepted},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -168,8 +170,8 @@ func TestFaultPlanValidationErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400", resp.StatusCode)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.want)
 			}
 		})
 	}

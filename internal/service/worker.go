@@ -224,8 +224,8 @@ func (s *Server) runSingle(ctx context.Context, j *Job) (ResultDoc, runOutcome, 
 		if snapshottable {
 			blob, err := simu.Snapshot()
 			if err != nil {
-				// Not snapshottable after all (e.g. TokenBag): run on
-				// without checkpoints.
+				// Not snapshottable after all (a scheduler with no
+				// serialized form): run on without checkpoints.
 				snapshottable = false
 				j.emit(Event{Type: "progress", Message: "checkpointing disabled: " + err.Error()})
 			} else if err := s.st.saveCheckpoint(j.ID, blob); err != nil {

@@ -523,9 +523,6 @@ func NewCountEngine(p CountProtocol, cfg Config) (*CountEngine, error) {
 	return e, nil
 }
 
-// Protocol returns the protocol under simulation.
-func (e *CountEngine) Protocol() CountProtocol { return e.p }
-
 // Counts returns the current configuration. The caller must not retain
 // it across Step calls if it mutates the engine concurrently; within one
 // goroutine, reading it between steps is the intended use.

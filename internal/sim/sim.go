@@ -422,9 +422,6 @@ func NewEngine(p Protocol, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Protocol returns the protocol under simulation.
-func (e *Engine) Protocol() Protocol { return e.p }
-
 // Converged reports whether the protocol's convergence predicate
 // currently holds (false for protocols without one).
 func (e *Engine) Converged() bool { return e.conv != nil && e.conv.Converged() }

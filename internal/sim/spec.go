@@ -170,14 +170,6 @@ type Spec struct {
 	// Delta assigns codes on first sight and must use ShardDelta.
 	PureDelta bool
 
-	// PreferCount marks the count form as the profitable default: the
-	// public EngineAuto resolution picks the count engine only for specs
-	// that set it. Protocols with small occupied alphabets and
-	// no-op-dominated equilibria benefit; the composed counting
-	// protocols — whose count form trades per-interaction struct ops for
-	// interning — stay on the agent engine unless explicitly requested.
-	PreferCount bool
-
 	// RingExchangeable certifies that the spec's dynamics remain a
 	// function of per-state counts under the ring interaction graph:
 	// from the spec's initial configurations, every reachable ring

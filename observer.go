@@ -47,12 +47,11 @@ func WithObserveEvery(interval int64) Option {
 	return func(s *settings) { s.observeEvery = interval }
 }
 
-// snapshotCountObserver adapts the public observer to the count
-// engine's hook for one trial. The engine is resolved through a getter
-// because the observer closure must be wired into the engine's Config
-// before the engine exists. Snapshots report the plurality state's
-// output — the consensus output once converged.
-func (set settings) snapshotCountObserver(alg Algorithm, eng func() *sim.CountEngine, trial int) func(sim.Observation) {
+// snapshotObserver adapts the public observer to an engine's hook for
+// one trial. output reads the trial's current output: agent 0's on the
+// agent engine, the most populated state's on the count engines (the
+// consensus output once converged).
+func (set settings) snapshotObserver(alg Algorithm, trial int, output func() (int64, bool)) func(sim.Observation) {
 	interval := set.observeEvery
 	obs := set.observer
 	var last int64
@@ -67,37 +66,9 @@ func (set settings) snapshotCountObserver(alg Algorithm, eng func() *sim.CountEn
 			Converged:    o.Converged,
 			Errored:      o.Errored,
 		}
-		if e := eng(); e != nil {
-			if out, ok := e.PluralityOutput(); ok {
-				snap.Output = out
-				snap.Estimate = estimateFor(alg, out)
-			}
-		}
-		obs(snap)
-	}
-}
-
-// snapshotObserver adapts the public observer to the engine's hook for
-// one trial of the given protocol instance.
-func (set settings) snapshotObserver(alg Algorithm, p sim.Protocol, trial int) func(sim.Observation) {
-	out, _ := p.(sim.Outputter)
-	interval := set.observeEvery
-	obs := set.observer
-	var last int64
-	return func(o sim.Observation) {
-		if interval > 0 && o.Interactions-last < interval {
-			return
-		}
-		last = o.Interactions
-		snap := Snapshot{
-			Trial:        trial,
-			Interactions: o.Interactions,
-			Converged:    o.Converged,
-			Errored:      o.Errored,
-		}
-		if out != nil {
-			snap.Output = out.Output(0)
-			snap.Estimate = estimateFor(alg, snap.Output)
+		if out, ok := output(); ok {
+			snap.Output = out
+			snap.Estimate = estimateFor(alg, out)
 		}
 		obs(snap)
 	}

@@ -110,10 +110,9 @@ const (
 	// simulated directly on per-state agent counts, with memory in the
 	// number of states the run discovers (not n) and amortized ~O(1)
 	// cost per interaction — population sizes of 10⁸ and beyond become
-	// practical. Every algorithm except TokenBag supports it (the core
-	// counting protocols' product states are interned over the occupied
-	// fragment, see DESIGN.md), and only under the default uniform
-	// scheduler.
+	// practical. Every algorithm supports it (the core counting
+	// protocols' product states are interned over the occupied fragment,
+	// see DESIGN.md), but only under the default uniform scheduler.
 	EngineCount
 	// EngineCountBatched is the count engine's multinomial batch-stepping
 	// mode: whole epochs of interactions are projected onto ordered
@@ -123,15 +122,14 @@ const (
 	// n ≥ 10⁹. The mode is a drift-bounded τ-leaping approximation:
 	// distributionally faithful within a few percent (see DESIGN.md),
 	// but, unlike EngineCount, not an exact simulation of the chain.
-	// Same restrictions as EngineCount (count-form algorithms, uniform
-	// scheduler, no per-agent outputs); tune with WithBatchRounds.
+	// Same restrictions as EngineCount (uniform scheduler, no per-agent
+	// outputs); tune with WithBatchRounds.
 	EngineCountBatched
-	// EngineAuto picks EngineCount when the algorithm's spec declares
-	// the count form profitable (small occupied alphabet, no-op
-	// dominated — currently GeometricEstimate) and EngineAgent otherwise
-	// (also when a non-uniform scheduler rules the count engine out).
-	// It never picks the batched mode — approximate stepping is always
-	// an explicit opt-in.
+	// EngineAuto picks EngineCount for GeometricEstimate, whose small,
+	// no-op dominated occupied alphabet makes the count form the
+	// profitable one, and EngineAgent otherwise (also when a non-uniform
+	// scheduler rules the count engine out). It never picks the batched
+	// mode — approximate stepping is always an explicit opt-in.
 	EngineAuto
 )
 
@@ -163,11 +161,10 @@ func ParseEngineKind(name string) (EngineKind, error) {
 
 // WithEngine selects the simulation engine (default EngineAgent).
 // EngineCount and EngineCountBatched return an error from the run
-// constructors when the algorithm has no count-based form or a
-// non-uniform scheduler was requested. Count-engine results carry no
-// per-agent output vector (Result.Outputs is nil): the configuration is
-// aggregate, and Result.Output reports the output of the most populated
-// state — at convergence, the consensus output.
+// constructors when a non-uniform scheduler was requested. Count-engine
+// results carry no per-agent output vector (Result.Outputs is nil): the
+// configuration is aggregate, and Result.Output reports the output of
+// the most populated state — at convergence, the consensus output.
 func WithEngine(kind EngineKind) Option { return func(s *settings) { s.engine = kind } }
 
 // WithBatchRounds caps one batch epoch of EngineCountBatched at rounds·n
@@ -356,85 +353,62 @@ func validate(alg Algorithm, n int) error {
 
 // Validate checks an algorithm × population × option combination
 // without building any O(n) state: it is the O(1) request validation
-// the service layer runs at submit time. A nil error guarantees
-// NewSimulation and RunEnsemble will pass their constructors'
-// validation for the same arguments.
+// the service layer runs at submit time. It runs the checks of
+// NewSimulation and RunEnsemble in their order, so a nil error
+// guarantees both pass their constructors' validation for the same
+// arguments, and a non-nil one is the error they would return.
 func Validate(alg Algorithm, n int, opts ...Option) error {
-	if err := validate(alg, n); err != nil {
-		return err
-	}
-	set := newSettings(opts)
-	if _, err := set.resolveEngine(alg); err != nil {
-		return err
-	}
-	if err := set.faults.validate(n); err != nil {
-		return err
-	}
-	return set.validateScheduler(n)
+	_, err := newSettings(opts).check(alg, n)
+	return err
 }
 
-// specFor returns the canonical transition spec of alg over n agents
-// under the given settings, or reports that the algorithm has none.
-// Spec-backed algorithms run on every engine through the spec's derived
-// forms — since the core counting protocols were ported to the spec
-// layer that is every algorithm except the Θ(n²)-state TokenBag
-// baseline, whose per-agent bag genuinely has no configuration form
-// worth keeping. The core protocols' state spaces grow with n, so their
-// specs intern codes over the occupied fragment (see internal/core's
-// spec files) instead of packing a fixed-width domain.
-func specFor(alg Algorithm, n int, set settings) (*sim.Spec, bool) {
+// check validates a run of alg over n agents under the settings and
+// resolves its engine kind. The engine checks run first: a request that
+// gets both the engine and the population wrong hears about the engine.
+func (set settings) check(alg Algorithm, n int) (EngineKind, error) {
+	kind, err := set.resolveEngine(alg)
+	if err != nil {
+		return 0, err
+	}
+	if err := validate(alg, n); err != nil {
+		return 0, err
+	}
+	if err := set.faults.validate(n); err != nil {
+		return 0, err
+	}
+	return kind, set.validateScheduler(n)
+}
+
+// specFor returns the canonical transition spec of a validated alg over
+// n agents under the given settings. Every engine form of a run derives
+// from this one spec. The core protocols' state spaces grow with n, so
+// their specs intern codes over the occupied fragment (see
+// internal/core's spec files) instead of packing a fixed-width domain.
+func specFor(alg Algorithm, n int, set settings) *sim.Spec {
 	cfg := core.Config{N: n, ClockM: set.clockM, FastRounds: set.fastRounds, Shift: set.shift}
 	switch alg {
 	case Approximate:
-		return core.NewApproximateSpec(cfg).Spec, true
+		return core.NewApproximateSpec(cfg).Spec
 	case CountExact:
-		return core.NewCountExactSpec(cfg).Spec, true
+		return core.NewCountExactSpec(cfg).Spec
 	case StableApproximate:
-		return core.NewStableApproximateSpec(cfg, set.faults.CorruptSearch).Spec, true
+		return core.NewStableApproximateSpec(cfg, set.faults.CorruptSearch).Spec
 	case StableCountExact:
-		return core.NewStableCountExactSpec(cfg, set.faults.CorruptSearch).Spec, true
+		return core.NewStableCountExactSpec(cfg, set.faults.CorruptSearch).Spec
+	case TokenBag:
+		return baseline.NewTokenBagSpec(n)
 	case GeometricEstimate:
-		return baseline.NewGeometricSpec(n), true
-	default:
-		return nil, false
+		return baseline.NewGeometricSpec(n)
 	}
-}
-
-// newProtocol builds the agent-engine protocol instance for alg over n
-// agents: the spec-derived agent adapter for spec-backed algorithms —
-// the only form of the composed protocols, held to their rules state by
-// state by internal/core's reference loop — and the hand-written
-// TokenBag otherwise.
-func newProtocol(alg Algorithm, n int, set settings) (sim.Protocol, error) {
-	if err := validate(alg, n); err != nil {
-		return nil, err
-	}
-	if spec, ok := specFor(alg, n, set); ok {
-		return sim.NewSpecAgent(spec), nil
-	}
-	if alg == TokenBag {
-		return baseline.NewTokenBag(n), nil
-	}
-	return nil, fmt.Errorf("%w: %v", ErrUnknownAlgorithm, alg)
-}
-
-// newCountProtocol builds the count-based form of alg over n agents from
-// the same spec the agent form derives from, or reports that the
-// algorithm has none.
-func newCountProtocol(alg Algorithm, n int, set settings) (sim.CountProtocol, bool) {
-	spec, ok := specFor(alg, n, set)
-	if !ok {
-		return nil, false
-	}
-	return sim.NewSpecCount(spec), true
+	panic(fmt.Sprintf("popcount: no spec for unvalidated algorithm %v", alg))
 }
 
 // resolveEngine maps the requested engine kind to a concrete one for
-// alg, validating the whole engine × algorithm × scheduler combination
-// up front: an explicit count-engine request errors here — at
-// construction, not at Run time — when the algorithm has no count form
-// or a non-uniform scheduler was registered, and EngineAuto falls back
-// to the agent engine in both cases instead of erroring.
+// alg, validating the engine × scheduler × fault-plan combination up
+// front: an explicit count-engine request errors here — at
+// construction, not at Run time — when a non-uniform scheduler was
+// registered, and EngineAuto falls back to the agent engine instead of
+// erroring. It builds no protocol state.
 func (set settings) resolveEngine(alg Algorithm) (EngineKind, error) {
 	if set.shards < 0 {
 		// A negative shard count is a mistake, not a request for the
@@ -446,25 +420,12 @@ func (set settings) resolveEngine(alg Algorithm) (EngineKind, error) {
 		// enormous count first, before anything is allocated.
 		return 0, fmt.Errorf("%w: WithIntraRunParallelism(%d) — shard count exceeds %d", ErrInvalidN, set.shards, sim.MaxShards)
 	}
-	spec, supported := specFor(alg, 2, set)
-	uniform := true
-	if set.mkSched != nil {
-		// The explicitly-uniform factory normalizes to the nil engine
-		// default, so both nil and the engine's uniform type count.
-		if sched := set.newSimScheduler(); sched != nil {
-			_, uniform = sched.(sim.UniformScheduler)
-		}
-	}
-	if set.faults.Enabled() {
-		// Dynamic faults are code-to-code transformations over a Spec's
-		// state domain, applied under the uniform scheduler — reject
-		// incompatible combinations here, at construction.
-		if !supported {
-			return 0, fmt.Errorf("%w: algorithm %v is not spec-backed, so fault plans cannot transform its states — rerun without WithFaults", ErrUnsupportedEngine, alg)
-		}
-		if !uniform {
-			return 0, fmt.Errorf("%w: fault plans require the default uniform scheduler — drop the WithScheduler override", ErrUnsupportedEngine)
-		}
+	// The uniform scheduler, explicit or default, normalizes to nil.
+	uniform := set.newSimScheduler() == nil
+	if set.faults.Enabled() && !uniform {
+		// Dynamic faults are code-to-code transformations over a spec's
+		// state domain, applied under the uniform scheduler.
+		return 0, fmt.Errorf("%w: fault plans require the default uniform scheduler — drop the WithScheduler override", ErrUnsupportedEngine)
 	}
 	if set.shards >= 2 && set.engine != EngineCountBatched {
 		return 0, fmt.Errorf("%w: WithIntraRunParallelism(%d) requires EngineCountBatched — only batch epochs shard (engine %v requested)", ErrUnsupportedEngine, set.shards, set.engine)
@@ -473,20 +434,18 @@ func (set settings) resolveEngine(alg Algorithm) (EngineKind, error) {
 	case EngineAgent:
 		return EngineAgent, nil
 	case EngineCount, EngineCountBatched:
-		if !supported {
-			return 0, fmt.Errorf("%w: algorithm %v has no count-based form (its per-agent bag state has no configuration view worth keeping; see DESIGN.md) — rerun with the agent engine", ErrUnsupportedEngine, alg)
-		}
 		if !uniform {
 			return 0, fmt.Errorf("%w: %w — rerun with the agent engine or drop the scheduler override", ErrUnsupportedEngine, sim.ErrCountScheduler)
 		}
 		return set.engine, nil
 	case EngineAuto:
-		// Auto is conservative: it picks the count engine only for specs
-		// that declare the count form profitable (PreferCount). The core
-		// counting protocols run on the count engines when explicitly
-		// requested, but their interned count form trades per-interaction
-		// struct ops for map work, so auto keeps them on the agent engine.
-		if supported && uniform && spec.PreferCount {
+		// Auto is conservative: it picks the count engine only for the
+		// geometric estimator, whose occupied alphabet is small and
+		// no-op dominated. Every other algorithm runs on the count
+		// engines when explicitly requested, but its count form pays a
+		// Delta call, and for the core protocols interning, on nearly
+		// every interaction, so auto keeps it on the agent engine.
+		if uniform && alg == GeometricEstimate {
 			return EngineCount, nil
 		}
 		return EngineAgent, nil
@@ -495,22 +454,22 @@ func (set settings) resolveEngine(alg Algorithm) (EngineKind, error) {
 	}
 }
 
-// simConfig translates the settings into an engine configuration for one
-// trial, wiring the observer to the given protocol instance.
-func (set settings) simConfig(alg Algorithm, p sim.Protocol, trial int) sim.Config {
-	cfg := sim.Config{
+// simConfig translates the settings into the engine configuration of
+// one run on the given engine kind — the one place the batched mode's
+// knobs are wired.
+func (set settings) simConfig(kind EngineKind) sim.Config {
+	return sim.Config{
 		Seed:            set.seed,
 		MaxInteractions: set.maxI,
 		CheckEvery:      set.checkEvery,
 		ConfirmWindow:   set.confirmWindow,
 		Scheduler:       set.newSimScheduler(),
+		BatchSteps:      kind == EngineCountBatched,
+		BatchMaxRounds:  set.batchRounds,
+		Shards:          set.shards,
 		Interrupt:       set.interrupt,
 		Faults:          set.faults.simPlan(),
 	}
-	if set.observer != nil {
-		cfg.Observe = set.snapshotObserver(alg, p, trial)
-	}
-	return cfg
 }
 
 // Simulation is a stepwise-controlled protocol run, backed by the
@@ -520,76 +479,52 @@ type Simulation struct {
 	alg  Algorithm
 	n    int
 	kind EngineKind
-	set  settings // retained for Snapshot's header
-	// Exactly one of the two engines is non-nil.
-	p    sim.Protocol // agent path only
-	eng  *sim.Engine
-	ceng *sim.CountEngine
-}
-
-// countSimConfig translates the settings into a count-engine
-// configuration — the one place the batched mode's knobs are wired.
-func (set settings) countSimConfig(kind EngineKind) sim.Config {
-	return sim.Config{
-		Seed:            set.seed,
-		MaxInteractions: set.maxI,
-		CheckEvery:      set.checkEvery,
-		ConfirmWindow:   set.confirmWindow,
-		BatchSteps:      kind == EngineCountBatched,
-		BatchMaxRounds:  set.batchRounds,
-		Shards:          set.shards,
-		Interrupt:       set.interrupt,
-		Faults:          set.faults.simPlan(),
-	}
+	set  settings  // retained for Snapshot's header
+	spec *sim.Spec // the run's transition spec, which its engine derives from
+	// Exactly one of eng and ceng is non-nil; agent is eng's protocol.
+	agent *sim.SpecAgent
+	eng   *sim.Engine
+	ceng  *sim.CountEngine
 }
 
 // NewSimulation builds a protocol instance over n agents, driven by the
-// selected simulation engine. Invalid combinations — an algorithm
-// without a count form or a non-uniform scheduler under an explicit
-// count-engine request — error here, not at run time.
+// selected simulation engine. Invalid combinations — a non-uniform
+// scheduler under an explicit count-engine request, for one — error
+// here, not at run time.
 func NewSimulation(alg Algorithm, n int, opts ...Option) (*Simulation, error) {
 	return newSimulationFrom(alg, n, newSettings(opts))
 }
 
 // newSimulationFrom is the settings-level constructor shared by
-// NewSimulation and RestoreSimulation.
+// NewSimulation and RestoreSimulation. It builds the run's spec once
+// and derives the selected engine form from it.
 func newSimulationFrom(alg Algorithm, n int, set settings) (*Simulation, error) {
-	kind, err := set.resolveEngine(alg)
+	kind, err := set.check(alg, n)
 	if err != nil {
 		return nil, err
 	}
-	if err := validate(alg, n); err != nil {
-		return nil, err
+	s := &Simulation{alg: alg, n: n, kind: kind, set: set, spec: specFor(alg, n, set)}
+	cfg := set.simConfig(kind)
+	if set.observer != nil {
+		// Observations start with the first poll, after the engine
+		// below exists.
+		cfg.Observe = set.snapshotObserver(alg, 0, func() (int64, bool) {
+			if s.ceng != nil {
+				return s.ceng.PluralityOutput()
+			}
+			return s.agent.Output(0), true
+		})
 	}
-	if err := set.faults.validate(n); err != nil {
-		return nil, err
+	if kind == EngineAgent {
+		s.agent = sim.NewSpecAgent(s.spec)
+		s.eng, err = sim.NewEngine(s.agent, cfg)
+	} else {
+		s.ceng, err = sim.NewCountEngine(sim.NewSpecCount(s.spec), cfg)
 	}
-	if err := set.validateScheduler(n); err != nil {
-		return nil, err
-	}
-	if kind == EngineCount || kind == EngineCountBatched {
-		cp, _ := newCountProtocol(alg, n, set)
-		s := &Simulation{alg: alg, n: n, kind: kind, set: set}
-		cfg := set.countSimConfig(kind)
-		if set.observer != nil {
-			cfg.Observe = set.snapshotCountObserver(alg, func() *sim.CountEngine { return s.ceng }, 0)
-		}
-		ceng, err := sim.NewCountEngine(cp, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.ceng = ceng
-		return s, nil
-	}
-	p, err := newProtocol(alg, n, set)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := sim.NewEngine(p, set.simConfig(alg, p, 0))
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{alg: alg, n: n, kind: EngineAgent, set: set, p: p, eng: eng}, nil
+	return s, nil
 }
 
 // EngineStats are deterministic, machine-independent run counters:
@@ -725,14 +660,9 @@ func (s *Simulation) Converged() bool {
 // engines on their configuration.
 func (s *Simulation) Errored() bool {
 	if s.ceng != nil {
-		sp, ok := s.ceng.Protocol().(interface{ Spec() *sim.Spec })
-		if !ok || sp.Spec().Errored == nil {
-			return false
-		}
-		return sp.Spec().Errored(s.ceng.Counts())
+		return s.spec.Errored != nil && s.spec.Errored(s.ceng.Counts())
 	}
-	e, ok := s.p.(interface{ Errored() bool })
-	return ok && e.Errored()
+	return s.agent.Errored()
 }
 
 // Output returns agent i's current output. On the count engine agents
@@ -743,11 +673,7 @@ func (s *Simulation) Output(i int) int64 {
 		out, _ := s.ceng.PluralityOutput()
 		return out
 	}
-	o, ok := s.p.(sim.Outputter)
-	if !ok {
-		return 0
-	}
-	return o.Output(i)
+	return s.agent.Output(i)
 }
 
 // Outputs returns the current outputs of all agents. It is nil on the
@@ -758,7 +684,7 @@ func (s *Simulation) Outputs() []int64 {
 	if s.ceng != nil {
 		return nil
 	}
-	return sim.Outputs(s.p)
+	return sim.Outputs(s.agent)
 }
 
 // RunToConvergence drives the simulation from its current position until
@@ -780,17 +706,23 @@ func (s *Simulation) RunToConvergence() (Result, error) {
 
 // result converts an engine result into the public form.
 func (s *Simulation) result(res sim.Result) Result {
-	out := Result{
+	return publicResult(s.alg, res, s.Output(0), s.Outputs())
+}
+
+// publicResult packages one run's engine result with its output (agent
+// 0's, or the count engines' plurality output) and per-agent outputs
+// (nil on the count engines).
+func publicResult(alg Algorithm, res sim.Result, out int64, outs []int64) Result {
+	return Result{
 		Converged:    res.Converged,
 		Interactions: res.Interactions,
 		Total:        res.Total,
 		Stable:       res.Stable,
-		Output:       s.Output(0),
-		Outputs:      s.Outputs(),
+		Output:       out,
+		Estimate:     estimateFor(alg, out),
+		Outputs:      outs,
 		Interrupted:  res.Interrupted,
 	}
-	out.Estimate = estimateFor(s.alg, out.Output)
-	return out
 }
 
 // EstimateOutput converts an agent output value of the given algorithm

@@ -46,8 +46,7 @@ const (
 // resumed run is bit-for-bit identical to the uninterrupted one.
 //
 // It fails with ErrNotSnapshottable for simulations whose state has
-// no serialized form: TokenBag (per-agent token multisets with no
-// canonical codec) and any WithScheduler simulation other than the
+// no serialized form: any WithScheduler simulation other than the
 // explicit uniform default and the graph schedulers (GraphRing,
 // GraphTorus, GraphKronecker), whose state is a spec string plus a
 // drawn graph seed.
@@ -60,9 +59,6 @@ func (s *Simulation) Snapshot() ([]byte, error) {
 		blob, err = s.eng.Snapshot()
 	}
 	if err != nil {
-		if s.alg == TokenBag {
-			return nil, fmt.Errorf("%w: TokenBag agents hold token multisets with no canonical serialized form — use a counting algorithm (approximate, exact, stable-*) for checkpointable jobs", ErrNotSnapshottable)
-		}
 		return nil, mapSimSnapErr(err)
 	}
 
@@ -137,12 +133,6 @@ func RestoreSimulation(data []byte, opts ...Option) (*Simulation, error) {
 		return nil, fmt.Errorf("%w: bad fault-injection flag %d", ErrBadSnapshot, data[9])
 	}
 	corruptSearch := data[9] != 0
-	if alg == TokenBag {
-		// TokenBag simulations can never be snapshotted, so a header
-		// claiming one is forged — reject it before building the
-		// quadratic-state protocol.
-		return nil, fmt.Errorf("%w: TokenBag simulations have no snapshot form", ErrBadSnapshot)
-	}
 	n := binary.LittleEndian.Uint64(data[10:])
 	if n > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible population %d", ErrBadSnapshot, n)

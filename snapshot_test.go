@@ -132,24 +132,17 @@ func TestSimulationSnapshotResumeToConvergence(t *testing.T) {
 	}
 }
 
-// TestSnapshotUnsupported pins the typed failures: TokenBag has no
-// serialized agent form, and WithScheduler state cannot be captured.
+// TestSnapshotUnsupported pins the typed failure for WithScheduler
+// state that cannot be captured. Every algorithm itself snapshots
+// (TestEveryAlgorithmEveryEngine).
 func TestSnapshotUnsupported(t *testing.T) {
-	s, err := popcount.NewSimulation(popcount.TokenBag, 64, popcount.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Snapshot(); !errors.Is(err, popcount.ErrNotSnapshottable) {
-		t.Fatalf("TokenBag snapshot: err = %v, want ErrNotSnapshottable", err)
-	}
-
-	s2, err := popcount.NewSimulation(popcount.Approximate, 64,
+	s, err := popcount.NewSimulation(popcount.Approximate, 64,
 		popcount.WithSeed(1),
 		popcount.WithScheduler(func() popcount.Scheduler { return popcount.BiasedPairs(0, 0.5) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Snapshot(); !errors.Is(err, popcount.ErrNotSnapshottable) {
+	if _, err := s.Snapshot(); !errors.Is(err, popcount.ErrNotSnapshottable) {
 		t.Fatalf("custom-scheduler snapshot: err = %v, want ErrNotSnapshottable", err)
 	}
 }
